@@ -4,10 +4,11 @@
 //!
 //! Two regimes bracket the passive detectors' operating envelope:
 //!
-//! - **mild** — `Δ = 1 s`, chaff `0.5/s`: the channel is sparse enough
-//!   (`Δ · rate` near 1) that order-consistent coverage and the IPD
-//!   likelihood ratio still separate true pairs from decoys.
-//! - **stress** — the scale's default scenario (`Δ = 7 s`, chaff
+//! - **mild** — the `backends-mild` preset, `Δ = 1 s`, chaff `0.5/s`:
+//!   the channel is sparse enough (`Δ · rate` near 1) that
+//!   order-consistent coverage and the IPD likelihood ratio still
+//!   separate true pairs from decoys.
+//! - **stress** — the scale's `monitor` world (`Δ = 7 s`, chaff
 //!   `3/s`): chance matching serves nearly every window, the passive
 //!   statistics flatten, and both passive backends (by design) stop
 //!   correlating — the saturation regime that motivates the paper's
@@ -19,23 +20,20 @@
 use std::fmt;
 
 use stepstone_core::BackendKind;
-use stepstone_flow::TimeDelta;
-use stepstone_watermark::{WatermarkError, WatermarkParams};
+use stepstone_monitor::MonitorConfig;
+use stepstone_scenario::{Backend, ScenarioSpec};
 
 use crate::config::ExperimentConfig;
-use crate::live::{build_corpus, replay, LiveScenario};
+use crate::live::replay;
+use crate::scenario_run::{backend_kind, build_spec_corpus, Detection, ScenarioRunError};
 
 /// One backend's results over one regime's corpus.
 #[derive(Debug, Clone)]
 pub struct BackendRow {
     /// The backend decoded with.
     pub backend: BackendKind,
-    /// True pairs detected (of `upstreams`).
-    pub true_positives: usize,
-    /// Correlated verdicts on non-pairs.
-    pub false_positives: usize,
-    /// True pairs not detected.
-    pub missed: usize,
+    /// The online replay's verdicts scored against the true pairs.
+    pub detection: Detection,
     /// Decode jobs the online replay ran.
     pub decodes_run: u64,
     /// Mean packet accesses for one full-window decode of a true pair.
@@ -46,13 +44,13 @@ pub struct BackendRow {
     pub packets_per_sec: f64,
 }
 
-/// One regime: its scenario and every backend's row over it.
+/// One regime: its world and every backend's row over it.
 #[derive(Debug, Clone)]
 pub struct BackendRegime {
     /// Short regime name (`mild`, `stress`).
     pub name: &'static str,
-    /// The scenario all backends replay (modulo the backend field).
-    pub scenario: LiveScenario,
+    /// The world all backends replay (modulo the `backend` key).
+    pub spec: ScenarioSpec,
     /// One row per [`BackendKind::ALL`] entry, in that order.
     pub rows: Vec<BackendRow>,
 }
@@ -64,46 +62,31 @@ pub struct BackendComparison {
     pub regimes: Vec<BackendRegime>,
 }
 
-/// The mild regime's scenario: sparse enough for passive detection.
-fn mild_scenario(cfg: &ExperimentConfig) -> LiveScenario {
-    LiveScenario {
-        upstreams: 4,
-        decoys: 4,
-        packets: 400,
-        shards: 2,
-        decode_batch: 64,
-        seed: cfg.seed,
-        delta: TimeDelta::from_secs(1),
-        chaff: 0.5,
-        params: WatermarkParams::small(),
-        backend: BackendKind::Paper,
-        decode: stepstone_core::DecodeOptions::strict(),
-    }
-}
-
-/// Runs every backend over both regimes' corpora.
+/// Runs every backend over both regimes' corpora: the `backends-mild`
+/// preset and the scale's `monitor` world, both seeded from `cfg`.
 ///
 /// # Errors
 ///
-/// Fails only if a scenario's flows cannot carry the watermark layout
-/// (see [`WatermarkError::FlowTooShort`]).
-pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkError> {
+/// Fails only if a world's flows cannot carry the watermark layout
+/// (see [`stepstone_watermark::WatermarkError::FlowTooShort`]).
+pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, ScenarioRunError> {
     let regimes = [
-        ("mild", mild_scenario(cfg)),
-        ("stress", LiveScenario::from_config(cfg)),
+        ("mild", cfg.preset("backends-mild")),
+        ("stress", cfg.monitor_spec()),
     ];
     let mut out = Vec::new();
     for (name, base) in regimes {
         let mut rows = Vec::new();
-        for kind in BackendKind::ALL {
-            let scenario = base.clone().with_backend(kind);
-            let report = replay(&scenario)?;
-            let (mean_cost_true, mean_cost_other) = batch_costs(&scenario)?;
+        for backend in Backend::ALL {
+            let spec = ScenarioSpec {
+                backend,
+                ..base.clone()
+            };
+            let report = replay(&spec, None)?;
+            let (mean_cost_true, mean_cost_other) = batch_costs(&spec)?;
             rows.push(BackendRow {
-                backend: kind,
-                true_positives: report.true_positives,
-                false_positives: report.false_positives,
-                missed: report.missed,
+                backend: backend_kind(backend),
+                detection: report.detection,
                 decodes_run: report.stats.decodes_run,
                 mean_cost_true,
                 mean_cost_other,
@@ -112,7 +95,7 @@ pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkErr
         }
         out.push(BackendRegime {
             name,
-            scenario: base,
+            spec: base,
             rows,
         });
     }
@@ -122,8 +105,8 @@ pub fn compare(cfg: &ExperimentConfig) -> Result<BackendComparison, WatermarkErr
 /// Decodes every (upstream, suspicious) pair once at full window and
 /// averages the billed packet accesses (`cost + matching_cost`, the
 /// monitor's per-verdict convention) over true pairs and non-pairs.
-fn batch_costs(scenario: &LiveScenario) -> Result<(f64, f64), WatermarkError> {
-    let corpus = build_corpus(scenario, None, None)?;
+fn batch_costs(spec: &ScenarioSpec) -> Result<(f64, f64), ScenarioRunError> {
+    let corpus = build_spec_corpus(spec, None, MonitorConfig::default())?;
     let (mut true_sum, mut true_n) = (0u64, 0u64);
     let (mut other_sum, mut other_n) = (0u64, 0u64);
     for (i, correlator) in corpus.correlators.iter().enumerate() {
@@ -146,7 +129,7 @@ fn batch_costs(scenario: &LiveScenario) -> Result<(f64, f64), WatermarkError> {
 impl fmt::Display for BackendComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for regime in &self.regimes {
-            let s = &regime.scenario;
+            let s = &regime.spec;
             writeln!(
                 f,
                 "backend comparison [{}]: {} upstreams, {} decoys, {} packets, \
@@ -155,8 +138,8 @@ impl fmt::Display for BackendComparison {
                 s.upstreams,
                 s.decoys,
                 s.packets,
-                s.delta.as_secs_f64(),
-                s.chaff
+                s.delta_ms as f64 / 1000.0,
+                s.chaff.rate()
             )?;
             writeln!(
                 f,
@@ -175,9 +158,9 @@ impl fmt::Display for BackendComparison {
                     f,
                     "{:<8} {:>3} {:>3} {:>6} {:>8} {:>15.0} {:>16.0} {:>12.0}",
                     row.backend.name(),
-                    row.true_positives,
-                    row.false_positives,
-                    row.missed,
+                    row.detection.true_positives,
+                    row.detection.false_positives,
+                    row.detection.missed,
                     row.decodes_run,
                     row.mean_cost_true,
                     row.mean_cost_other,
@@ -207,7 +190,7 @@ impl BackendComparison {
         );
         out.push_str("  \"regimes\": {\n");
         for (ri, regime) in self.regimes.iter().enumerate() {
-            let s = &regime.scenario;
+            let s = &regime.spec;
             out.push_str(&format!("    \"{}\": {{\n", regime.name));
             out.push_str(&format!(
                 "      \"scenario\": {{\"upstreams\": {}, \"decoys\": {}, \"packets\": {}, \
@@ -215,8 +198,8 @@ impl BackendComparison {
                 s.upstreams,
                 s.decoys,
                 s.packets,
-                s.delta.as_secs_f64(),
-                s.chaff
+                s.delta_ms as f64 / 1000.0,
+                s.chaff.rate()
             ));
             out.push_str("      \"backends\": {\n");
             for (i, row) in regime.rows.iter().enumerate() {
@@ -225,9 +208,9 @@ impl BackendComparison {
                      \"missed\": {}, \"mean_cost_true\": {:.1}, \
                      \"mean_cost_other\": {:.1}}}{}\n",
                     row.backend.name(),
-                    row.true_positives,
-                    row.false_positives,
-                    row.missed,
+                    row.detection.true_positives,
+                    row.detection.false_positives,
+                    row.detection.missed,
                     row.mean_cost_true,
                     row.mean_cost_other,
                     if i + 1 == regime.rows.len() { "" } else { "," }
@@ -262,7 +245,10 @@ mod tests {
             let kinds: Vec<BackendKind> = regime.rows.iter().map(|r| r.backend).collect();
             assert_eq!(kinds, BackendKind::ALL.to_vec());
             for row in &regime.rows {
-                assert_eq!(row.true_positives + row.missed, regime.scenario.upstreams);
+                assert_eq!(
+                    row.detection.true_positives + row.detection.missed,
+                    regime.spec.upstreams
+                );
                 assert!(row.mean_cost_true > 0.0);
             }
         }
@@ -271,14 +257,22 @@ mod tests {
         // must go quiet rather than false-positive.
         let mild = &comparison.regimes[0];
         for row in &mild.rows {
-            assert_eq!(row.missed, 0, "{} missed in mild regime", row.backend);
-            assert_eq!(row.false_positives, 0, "{} FP in mild regime", row.backend);
+            assert_eq!(
+                row.detection.missed, 0,
+                "{} missed in mild regime",
+                row.backend
+            );
+            assert_eq!(
+                row.detection.false_positives, 0,
+                "{} FP in mild regime",
+                row.backend
+            );
         }
         let stress = &comparison.regimes[1];
         for row in &stress.rows {
             if row.backend != BackendKind::Paper {
                 assert_eq!(
-                    row.false_positives, 0,
+                    row.detection.false_positives, 0,
                     "{} FP under saturation",
                     row.backend
                 );

@@ -23,12 +23,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use stepstone_chaos::FaultPlan;
-use stepstone_core::{BackendKind, DecodeMode, DecodeOptions, UnknownBackend, UnknownDecodeMode};
+use stepstone_core::{DecodeMode, DecodeOptions, UnknownBackend, UnknownDecodeMode};
 use stepstone_experiments::{
     ablations, backends, cluster, diagnostics, figures, live, matrix, robust, scenario_run, serve,
     ExperimentConfig, Scale,
 };
 use stepstone_ingest::ReplayClock;
+use stepstone_scenario::ScenarioSpec;
 use stepstone_stats::Figure;
 use stepstone_telemetry::{MetricsServer, Registry};
 use stepstone_traffic::Seed;
@@ -171,13 +172,13 @@ struct Options {
     out: Option<PathBuf>,
     chart: bool,
     targets: Vec<String>,
-    /// `monitor` target overrides: upstreams, decoys, shards, packets.
+    /// `monitor` world overrides: upstreams, decoys, shards, packets,
+    /// and the backend every upstream registers with.
     pairs: Option<usize>,
     decoys: Option<usize>,
     shards: Option<usize>,
     packets: Option<usize>,
-    /// Correlator backend every upstream registers with.
-    backend: BackendKind,
+    backend: Option<stepstone_scenario::Backend>,
     /// Decode layer every bound correlator runs; `None` keeps each
     /// target's default (strict for `monitor`, the spec's own
     /// `decode =` key for `scenario`).
@@ -219,7 +220,7 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     let mut decoys = None;
     let mut shards = None;
     let mut packets = None;
-    let mut backend = BackendKind::default();
+    let mut backend = None;
     let mut decode_mode: Option<DecodeMode> = None;
     let mut erasure_budget: u32 = 64;
     let mut pcap = None;
@@ -269,7 +270,7 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
             "--packets" => packets = Some(parse_count(&mut it, "--packets")?),
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a name")?;
-                backend = BackendKind::parse(v)?;
+                backend = Some(parse_scenario_backend(v)?);
             }
             "--decode" => {
                 let v = it.next().ok_or("--decode needs a mode name")?;
@@ -442,6 +443,18 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
         "future-loss" => emit(&figures::future_loss(cfg), opts)?,
         "future-repack" => emit(&figures::future_repack(cfg), opts)?,
         "monitor" => {
+            let (spec, bytes) = match &opts.pcap {
+                // Wire mode: correlators come from the scale-independent
+                // wire world, packets from the capture file.
+                Some(path) => (
+                    world(cfg.wire_spec(), opts)?,
+                    Some(
+                        fs::read(path)
+                            .map_err(|e| format!("cannot read {}: {e}", path.display()))?,
+                    ),
+                ),
+                None => (world(cfg.monitor_spec(), opts)?, None),
+            };
             let server = match &opts.metrics_addr {
                 Some(addr) => {
                     let registry = Arc::new(Registry::new());
@@ -466,42 +479,21 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                     env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?,
                     vec!["cluster-worker".to_string()],
                 );
-                copts.chaos = opts.chaos;
                 copts.registry = registry;
-                if let Some(path) = &opts.pcap {
-                    let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-                    let bytes = fs::read(path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    let report =
-                        cluster::cluster_replay_pcap(&scenario, &bytes, opts.replay, &copts)
-                            .map_err(|e| format!("monitor: {e}"))?;
-                    stream_error = report.stream_error.is_some();
-                    println!("{report}");
-                } else {
-                    let scenario = apply_overrides(live::LiveScenario::from_config(cfg), opts)?;
-                    let report = cluster::cluster_replay(&scenario, &copts)
-                        .map_err(|e| format!("monitor: {e}"))?;
-                    println!("{report}");
-                }
-            } else if let Some(path) = &opts.pcap {
-                // Wire mode: correlators come from the scale-independent
-                // wire scenario, packets from the capture file.
-                let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-                let bytes =
-                    fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let report = match &opts.chaos {
-                    Some(plan) => {
-                        live::replay_pcap_chaos(&scenario, &bytes, opts.replay, registry, plan)
-                    }
-                    None => live::replay_pcap_with(&scenario, &bytes, opts.replay, registry),
+                let report = match &bytes {
+                    Some(bytes) => cluster::cluster_replay_pcap(&spec, bytes, opts.replay, &copts),
+                    None => cluster::cluster_replay(&spec, &copts),
                 }
                 .map_err(|e| format!("monitor: {e}"))?;
+                stream_error = report.stream_error.is_some();
+                println!("{report}");
+            } else if let Some(bytes) = &bytes {
+                let report = live::replay_pcap(&spec, bytes, opts.replay, registry)
+                    .map_err(|e| format!("monitor: {e}"))?;
                 stream_error = report.outcome.stream_error.is_some();
                 println!("{report}");
             } else {
-                let scenario = apply_overrides(live::LiveScenario::from_config(cfg), opts)?;
-                let report = live::replay_chaos_with(&scenario, registry, opts.chaos.as_ref())
-                    .map_err(|e| format!("monitor: cannot build the scenario corpus: {e}"))?;
+                let report = live::replay(&spec, registry).map_err(|e| format!("monitor: {e}"))?;
                 println!("{report}");
             }
             if let Some((_server, _)) = server {
@@ -534,8 +526,9 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
             }
         }
         "pcap-export" => {
-            let scenario = apply_overrides(live::LiveScenario::wire(cfg), opts)?;
-            let bytes = live::export_pcap(&scenario).map_err(|e| format!("pcap-export: {e}"))?;
+            let spec = world(cfg.wire_spec(), opts)?;
+            let bytes =
+                scenario_run::export_spec_pcap(&spec).map_err(|e| format!("pcap-export: {e}"))?;
             let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("."));
             let path = dir.join("sample.pcap");
             fs::write(&path, &bytes)
@@ -577,17 +570,7 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                 .as_deref()
                 .ok_or("the scenario target needs --scenario NAME|FILE.scn")?;
             let mut spec = matrix::resolve_scenario(name).map_err(CliError::Scenario)?;
-            if let Some(decode) = opts.decode {
-                // The CLI decode layer overrides the spec's own key,
-                // exactly as --backend style overrides do elsewhere.
-                spec.decode = match decode.mode {
-                    DecodeMode::Strict => stepstone_scenario::Decode::Strict,
-                    DecodeMode::Robust => stepstone_scenario::Decode::Robust,
-                };
-                if decode.is_robust() {
-                    spec.erasure_budget = decode.erasure_budget;
-                }
-            }
+            apply_decode(&mut spec, opts);
             eprintln!("scenario {} digest {:016x}", spec.name, spec.digest());
             let outcome = match &opts.pcap {
                 Some(path) => {
@@ -679,29 +662,44 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
     Ok(0)
 }
 
-/// Applies the monitor sizing flags to a scenario.
-fn apply_overrides(
-    mut scenario: live::LiveScenario,
-    opts: &Options,
-) -> Result<live::LiveScenario, String> {
+/// Applies the monitor world overrides — sizing, `--backend`,
+/// `--decode`, `--chaos` — to a preset, then runs the spec validator.
+fn world(mut spec: ScenarioSpec, opts: &Options) -> Result<ScenarioSpec, String> {
     if let Some(n) = opts.pairs {
-        scenario.upstreams = n;
+        spec.upstreams = n;
     }
     if let Some(n) = opts.decoys {
-        scenario.decoys = n;
+        spec.decoys = n;
     }
     if let Some(n) = opts.shards {
-        if n == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        scenario.shards = n;
+        spec.shards = n;
     }
     if let Some(n) = opts.packets {
-        scenario.packets = n;
+        spec.packets = n;
     }
-    Ok(scenario
-        .with_backend(opts.backend)
-        .with_decode(opts.decode.unwrap_or_default()))
+    if let Some(backend) = opts.backend {
+        spec.backend = backend;
+    }
+    apply_decode(&mut spec, opts);
+    if let Some(plan) = &opts.chaos {
+        spec.chaos = Some(scenario_run::chaos_key(plan));
+    }
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// The CLI decode layer overrides the spec's own `decode` key (and,
+/// for robust decoding, its `erasure-budget`).
+fn apply_decode(spec: &mut ScenarioSpec, opts: &Options) {
+    if let Some(decode) = opts.decode {
+        spec.decode = match decode.mode {
+            DecodeMode::Strict => stepstone_scenario::Decode::Strict,
+            DecodeMode::Robust => stepstone_scenario::Decode::Robust,
+        };
+        if decode.is_robust() {
+            spec.erasure_budget = decode.erasure_budget;
+        }
+    }
 }
 
 fn emit(fig: &Figure, opts: &Options) -> Result<(), String> {

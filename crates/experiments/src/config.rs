@@ -1,6 +1,7 @@
 //! Experiment configuration (the paper's Table 1, plus scaling).
 
 use stepstone_flow::TimeDelta;
+use stepstone_scenario::ScenarioSpec;
 use stepstone_traffic::Seed;
 use stepstone_watermark::WatermarkParams;
 
@@ -103,6 +104,36 @@ impl ExperimentConfig {
         self
     }
 
+    /// A checked-in scenario preset, reseeded with this configuration's
+    /// seed.
+    pub(crate) fn preset(&self, name: &str) -> ScenarioSpec {
+        // lint: allow(no_panic) checked-in preset texts parse; pinned by the preset tests
+        let mut spec = stepstone_scenario::preset(name).expect("checked-in presets parse");
+        spec.seed = self.seed.value();
+        spec
+    }
+
+    /// The `wire` preset: the scale-independent world behind
+    /// `tests/data/sample.pcap`.
+    pub fn wire_spec(&self) -> ScenarioSpec {
+        self.preset("wire")
+    }
+
+    /// The `monitor` preset sized for this scale — 2, 4 or 8 upstreams
+    /// and as many decoys: quick stays interactive, full approaches
+    /// the paper's all-pairs setup.
+    pub fn monitor_spec(&self) -> ScenarioSpec {
+        let mut spec = self.preset("monitor");
+        let flows = match self.scale {
+            Scale::Quick => 2,
+            Scale::Default => 4,
+            Scale::Full => 8,
+        };
+        spec.upstreams = flows;
+        spec.decoys = flows;
+        spec
+    }
+
     /// Number of false-positive pairs actually evaluated per point.
     pub fn fpr_pair_count(&self) -> usize {
         let all = self.corpus * self.corpus.saturating_sub(1);
@@ -193,5 +224,21 @@ mod tests {
             .with_synthetic();
         assert_eq!(c.seed, Seed::new(9));
         assert!(c.synthetic);
+    }
+
+    #[test]
+    fn presets_take_the_config_seed_and_the_monitor_takes_its_scale() {
+        let quick = ExperimentConfig::new(Scale::Quick).with_seed(Seed::new(9));
+        let full = ExperimentConfig::new(Scale::Full).with_seed(Seed::new(9));
+        assert_eq!(quick.wire_spec(), full.wire_spec());
+        assert_eq!(quick.wire_spec().seed, 9);
+        let monitor = quick.monitor_spec();
+        assert_eq!((monitor.upstreams, monitor.decoys), (2, 2));
+        assert_eq!(full.monitor_spec().upstreams, 8);
+        // The monitor world is the paper's Table 1 headline regime.
+        assert_eq!(monitor.delta_ms, quick.fixed_delta.as_millis() as u64);
+        assert_eq!(monitor.chaff.rate(), quick.fixed_chaff);
+        assert_eq!(monitor.wm_bits, quick.params.bits);
+        assert_eq!(monitor.wm_threshold, quick.params.threshold);
     }
 }

@@ -24,11 +24,12 @@
 //! ([`figures::future_loss`], [`figures::future_repack`]) and the
 //! quality [`ablations`] (adjustment, redundancy, threshold ROC,
 //! phase-1 scope, chaff models); the bench crate covers the runtime
-//! axis of the same sweeps. The [`live`] module replays a synthetic
-//! corpus through the `stepstone-monitor` online engine (`repro
+//! axis of the same sweeps. The [`live`] module replays a scenario
+//! preset's world through the `stepstone-monitor` online engine (`repro
 //! monitor`), reporting throughput alongside detection quality, and the
 //! [`cluster`] module scales the same replay across a coordinator plus
-//! N worker processes (`repro monitor --cluster N`).
+//! N worker processes (`repro monitor --cluster N`). Every such world
+//! is built by [`scenario_run`] from a `ScenarioSpec`.
 //!
 //! # Example
 //!

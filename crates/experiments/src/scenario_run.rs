@@ -5,21 +5,22 @@
 //! DSL and the rest of the workspace: it maps every spec field onto the
 //! concrete generators ([`stepstone_traffic`]), adversary stages
 //! ([`stepstone_adversary`]), chaos channel ([`stepstone_chaos`]) and
-//! the online engine ([`stepstone_monitor`]), so `repro serve` sessions
-//! and `repro matrix` cells are nothing but scenario runs.
+//! the online engine ([`stepstone_monitor`]). It is the workspace's one
+//! world-builder: serve sessions, matrix cells, the live replay
+//! ([`crate::live`]) and cluster workers all build their corpus here.
 //!
 //! # Determinism contract
 //!
 //! Everything about the *corpus* derives from the spec (two holders of
-//! the same text build interchangeable corpora), and a scenario's chaos
-//! arms only the *channel* layers — flow faults here, plus wire faults
-//! where there is a wire — never the engine's runtime faults, whose
-//! effects depend on thread timing. The monitor runs with
-//! [`MonitorConfig::deterministic_schedule`], so the set of windows
-//! decoded per pair — and therefore which terminal class each pair
-//! lands in — is a pure function of the event stream, not of worker
-//! timing (without it, a pair sitting near its backend's decision
-//! threshold can latch in one run and clear in the next when a
+//! the same text build interchangeable corpora). [`run_spec`] and
+//! [`run_spec_pcap`] arm only the spec chaos's *channel* layers — flow
+//! faults here, plus wire faults where there is a wire — never the
+//! engine's runtime faults, whose effects depend on thread timing. The
+//! monitor runs with [`MonitorConfig::deterministic_schedule`], so the
+//! set of windows decoded per pair — and therefore which terminal class
+//! each pair lands in — is a pure function of the event stream, not of
+//! worker timing (without it, a pair sitting near its backend's
+//! decision threshold can latch in one run and clear in the next when a
 //! borderline boundary window is skipped for an in-flight decode).
 //! Decode *latencies* still vary, so the canonical [`VerdictLine`]s
 //! carry only pair identities and [`TerminalKind`]s, making
@@ -27,26 +28,30 @@
 //! and machines — the property the matrix report and the
 //! snapshot/restore acceptance test rely on.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use stepstone_adversary::{
     AdversaryPipeline, ChaffInjector, ChaffModel, PacketLoss, Repacketizer, UniformPerturbation,
 };
-use stepstone_chaos::{FaultPlan, Profile};
+use stepstone_chaos::{FaultPlan, FlowFaultInjector, Profile};
 use stepstone_core::{Algorithm, BackendKind, BoundCorrelator, DecodeOptions, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_ingest::{
-    parse_capture, replay_capture, replay_records_with, IngestError, ReplayClock, ReplayOutcome,
+    parse_capture, replay_records_with, write_flows, CaptureRecord, DemuxFlow, FiveTuple,
+    IngestError, ReplayClock,
 };
-use stepstone_monitor::{FlowId, Monitor, MonitorConfig, TerminalKind, UpstreamId, Verdict};
-use stepstone_scenario::{fnv1a, Chaff, ChaosProfile, Repacketize, ScenarioSpec, Traffic};
+use stepstone_monitor::{
+    FlowId, Monitor, MonitorConfig, PairId, TerminalKind, UpstreamId, Verdict,
+};
+use stepstone_scenario::{
+    fnv1a, Backend, Chaff, ChaosProfile, Decode, Repacketize, ScenarioSpec, Traffic,
+};
 use stepstone_traffic::corpus::tcplib_corpus;
 use stepstone_traffic::{InteractiveProfile, Seed, SessionGenerator};
 use stepstone_watermark::{
     IpdWatermarker, Watermark, WatermarkError, WatermarkKey, WatermarkParams,
 };
-
-use crate::live;
 
 /// What can go wrong running a scenario.
 #[derive(Debug)]
@@ -152,9 +157,8 @@ impl ScenarioOutcome {
         out
     }
 
-    /// FNV-1a/64 digest of [`canonical_verdicts`]
-    /// (see [`Self::canonical_verdicts`]) — the run's reproducible
-    /// result identity.
+    /// FNV-1a/64 digest of [`Self::canonical_verdicts`] — the run's
+    /// reproducible result identity.
     pub fn verdict_digest(&self) -> u64 {
         fnv1a(self.canonical_verdicts().as_bytes())
     }
@@ -202,10 +206,20 @@ fn params_for(
     })
 }
 
-/// Maps the spec's chaos key to a fault plan. Scenario chaos is the
-/// *channel*: callers arm its wire/flow layers only, never the runtime
-/// layer (worker kills are timing-dependent in effect, which would
-/// break the verdict-digest stability contract).
+/// The correlator backend a spec's `backend` key names.
+pub(crate) fn backend_kind(backend: Backend) -> BackendKind {
+    match backend {
+        Backend::Paper => BackendKind::Paper,
+        Backend::Elices => BackendKind::Elices,
+        Backend::Game => BackendKind::Game,
+    }
+}
+
+/// Maps the spec's chaos key to a fault plan. [`run_spec`] and
+/// [`run_spec_pcap`] treat it as the *channel* and arm its wire/flow
+/// layers only (worker kills are timing-dependent in effect, which
+/// would break the verdict-digest stability contract); the live and
+/// cluster replays arm the runtime layer too.
 pub fn chaos_plan(spec: &ScenarioSpec) -> Option<FaultPlan> {
     spec.chaos.map(|(seed, profile)| {
         FaultPlan::new(
@@ -217,6 +231,17 @@ pub fn chaos_plan(spec: &ScenarioSpec) -> Option<FaultPlan> {
             },
         )
     })
+}
+
+/// The spec `chaos` value naming `plan` — the inverse of
+/// [`chaos_plan`], which carries a `--chaos` plan inside a spec.
+pub fn chaos_key(plan: &FaultPlan) -> (u64, ChaosProfile) {
+    let profile = match plan.profile() {
+        Profile::Mild => ChaosProfile::Mild,
+        Profile::Harsh => ChaosProfile::Harsh,
+        Profile::Adversarial => ChaosProfile::Adversarial,
+    };
+    (plan.seed(), profile)
 }
 
 /// One suspicious flow of the spec's traffic mix. Upstream flows
@@ -266,48 +291,46 @@ fn adversary(spec: &ScenarioSpec) -> AdversaryPipeline {
 }
 
 /// The spec's derived corpus: a monitor with every upstream correlator
-/// registered, plus the suspicious flows keyed by scenario [`FlowId`].
+/// registered, plus the suspicious flows (true downstreams first, then
+/// decoys) keyed by scenario [`FlowId`].
 pub(crate) struct SpecCorpus {
     pub(crate) monitor: Monitor,
     pub(crate) suspicious: Vec<(FlowId, Flow)>,
+    /// The bound correlators, indexed by upstream id — clones of what
+    /// the monitor registered, for offline (batch) decode accounting.
+    pub(crate) correlators: Vec<BoundCorrelator>,
     /// Watermarked packets the adversary pipeline deleted (or merged
     /// away) across the true downstream flows — the channel's share of
     /// the outcome's `erasures` count.
     pub(crate) channel_erasures: u64,
 }
 
-/// Synthesises the spec's corpus, mirroring [`live::build_corpus`] but
-/// driven entirely by the DSL fields. `threshold` overrides the spec's
-/// detection threshold (serve hot-reload).
+/// Synthesises the spec's corpus into a monitor started from the
+/// caller's `config` (its engine policy); the spec sets shards and
+/// decode batch. `threshold` overrides the spec's detection threshold
+/// (serve hot-reload).
 pub(crate) fn build_spec_corpus(
     spec: &ScenarioSpec,
     threshold: Option<u32>,
+    config: MonitorConfig,
 ) -> Result<SpecCorpus, ScenarioRunError> {
     let params = params_for(spec, threshold)?;
-    let backend = match spec.backend {
-        stepstone_scenario::Backend::Paper => BackendKind::Paper,
-        stepstone_scenario::Backend::Elices => BackendKind::Elices,
-        stepstone_scenario::Backend::Game => BackendKind::Game,
+    let backend = backend_kind(spec.backend);
+    let decode = match spec.decode {
+        Decode::Strict => DecodeOptions::strict(),
+        Decode::Robust => DecodeOptions::robust(spec.erasure_budget),
     };
     let seed = Seed::new(spec.seed);
     let delta = TimeDelta::from_millis(spec.delta_ms as i64);
     let pipeline = adversary(spec);
-    let config = MonitorConfig::default()
-        .with_shards(spec.shards)
-        .with_decode_batch(spec.decode_batch)
-        // Scenario runs promise byte-reproducible terminal verdicts, so
-        // the engine must decode the same windows every run: without
-        // this, a boundary whose previous decode is still in flight is
-        // skipped, and a pair near its backend's decision threshold can
-        // latch in one run and clear in the next.
-        .with_deterministic_schedule();
-    let mut monitor = Monitor::new(config);
+    let mut monitor = Monitor::new(
+        config
+            .with_shards(spec.shards)
+            .with_decode_batch(spec.decode_batch),
+    );
     let mut suspicious: Vec<(FlowId, Flow)> = Vec::new();
+    let mut correlators: Vec<BoundCorrelator> = Vec::new();
     let mut channel_erasures = 0u64;
-    let decode = match spec.decode {
-        stepstone_scenario::Decode::Strict => DecodeOptions::strict(),
-        stepstone_scenario::Decode::Robust => DecodeOptions::robust(spec.erasure_budget),
-    };
     for i in 0..spec.upstreams {
         let branch = seed.child(i as u64);
         let original = generate_flow(spec, i, false, branch.child(0));
@@ -318,9 +341,10 @@ pub(crate) fn build_spec_corpus(
         );
         let marked = marker.embed(&original, &watermark)?;
         let correlator = WatermarkCorrelator::new(marker, watermark, delta, Algorithm::GreedyPlus);
-        let bound: BoundCorrelator =
+        let bound =
             correlator.bind_backend_with(backend, decode, spec.chaff.rate(), &original, &marked)?;
-        monitor.register_upstream(UpstreamId(i as u64), bound);
+        monitor.register_upstream(UpstreamId(i as u64), bound.clone());
+        correlators.push(bound);
         let attacked = pipeline.apply(&marked, branch.child(3));
         let surviving = (attacked.len() - attacked.chaff_count()) as u64;
         channel_erasures += (marked.len() as u64).saturating_sub(surviving);
@@ -337,8 +361,186 @@ pub(crate) fn build_spec_corpus(
     Ok(SpecCorpus {
         monitor,
         suspicious,
+        correlators,
         channel_erasures,
     })
+}
+
+/// The engine policy of [`run_spec`] and [`run_spec_pcap`]: the
+/// deterministic schedule the module's determinism contract rests on.
+fn scenario_config() -> MonitorConfig {
+    MonitorConfig::default().with_deterministic_schedule()
+}
+
+/// The scenario-flow → wire-5-tuple mapping every capture of a spec's
+/// world uses: deterministic and injective, so exported captures
+/// demultiplex back to the scenario's flow identities. UDP keeps the
+/// minimum frame at 42 bytes, under both the generator's 64-byte
+/// payload and 48-byte chaff sizes, so packet sizes survive the
+/// round-trip exactly.
+pub(crate) fn flow_tuple(id: FlowId) -> FiveTuple {
+    let low = (id.0 & 0xFF) as u8;
+    let high = ((id.0 >> 8) & 0xFF) as u8;
+    let port = 40_000 + (id.0 & 0xFFFF) as u16;
+    FiveTuple::udp_v4([10, 7, high, low], port, [192, 0, 2, 1], 22)
+}
+
+/// The true-pair test for verdicts over a world's own stream, which
+/// keeps scenario ids: upstream `i`'s true downstream is flow `i`.
+pub(crate) fn is_true_pair(pair: &PairId) -> bool {
+    pair.upstream.0 == pair.flow.0
+}
+
+/// The true-pair test for verdicts over a capture of `spec`'s world.
+/// The demux numbers flows in first-seen order, which need not match
+/// the scenario's ids, so a pair's flow is translated back to its
+/// scenario id through the injective tuple map first. Flows that carry
+/// no scenario tuple never count as true pairs.
+pub(crate) fn capture_truth<'a>(
+    spec: &'a ScenarioSpec,
+    flows: &'a [DemuxFlow],
+) -> impl Fn(&PairId) -> bool + 'a {
+    move |pair| {
+        flows
+            .iter()
+            .find(|f| f.id == pair.flow)
+            .and_then(|f| {
+                (0..spec.suspicious_flows() as u64)
+                    .map(FlowId)
+                    .find(|id| flow_tuple(*id) == f.tuple)
+            })
+            .is_some_and(|id| id.0 == pair.upstream.0)
+    }
+}
+
+/// Parses capture bytes as they arrive across `plan`'s wire layer: the
+/// bytes corrupted and possibly truncated (into `mutated`), the
+/// surviving records dropped, duplicated or skewed. Without a plan the
+/// capture parses as-is.
+pub(crate) fn wire_records<'a>(
+    bytes: &'a [u8],
+    plan: Option<&FaultPlan>,
+    mutated: &'a mut Vec<u8>,
+) -> Result<Box<dyn Iterator<Item = Result<CaptureRecord, IngestError>> + 'a>, IngestError> {
+    Ok(match plan {
+        Some(plan) => {
+            mutated.extend_from_slice(bytes);
+            plan.wire().mutate_bytes(mutated);
+            Box::new(plan.wire().adapt(parse_capture(mutated)?))
+        }
+        None => Box::new(parse_capture(bytes)?),
+    })
+}
+
+/// Merges the suspicious flows into one time-ordered event stream, as a
+/// tap on the monitored link would deliver it.
+pub(crate) fn merged_stream(suspicious: &[(FlowId, Flow)]) -> Vec<(FlowId, Packet)> {
+    let mut events: Vec<(FlowId, Packet)> = suspicious
+        .iter()
+        .flat_map(|(id, flow)| flow.packets().iter().map(move |&p| (*id, p)))
+        .collect();
+    events.sort_by_key(|&(_, p)| p.timestamp());
+    events
+}
+
+/// The flow-fault layer between a stream and the engine: with a plan,
+/// every event passes through its injector (deletion, chaff bursts,
+/// bounded extra delay); without one, events pass unchanged.
+pub(crate) struct Channel {
+    injector: Option<FlowFaultInjector>,
+    /// Events the injector swallowed outright.
+    pub(crate) swallowed: u64,
+}
+
+impl Channel {
+    /// The channel of `plan`'s flow layer, or the identity.
+    pub(crate) fn new(plan: Option<&FaultPlan>) -> Self {
+        Channel {
+            injector: plan.map(FaultPlan::flow_injector),
+            swallowed: 0,
+        }
+    }
+
+    /// Appends the deliveries one event turns into to `out`.
+    pub(crate) fn apply(&mut self, flow: FlowId, packet: Packet, out: &mut Vec<(FlowId, Packet)>) {
+        let before = out.len();
+        match self.injector.as_mut() {
+            Some(injector) => injector.apply(flow, packet, out),
+            None => out.push((flow, packet)),
+        }
+        if out.len() == before {
+            self.swallowed += 1;
+        }
+    }
+}
+
+/// Streams `events` through `channel` into `sink` and returns how many
+/// deliveries reached it — the loop behind every in-memory replay, be
+/// the sink a monitor or a cluster coordinator.
+pub(crate) fn feed<E>(
+    events: &[(FlowId, Packet)],
+    channel: &mut Channel,
+    mut sink: impl FnMut(FlowId, Packet) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut deliveries: Vec<(FlowId, Packet)> = Vec::new();
+    let mut delivered = 0u64;
+    for &(flow, packet) in events {
+        deliveries.clear();
+        channel.apply(flow, packet, &mut deliveries);
+        for &(flow, packet) in &deliveries {
+            sink(flow, packet)?;
+            delivered += 1;
+        }
+    }
+    Ok(delivered)
+}
+
+/// How a replay's verdicts score against its world's true pairs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Detection {
+    /// True (upstream `i`, downstream `i`) pairs detected.
+    pub true_positives: usize,
+    /// Correlated verdicts on pairs that are not true pairs.
+    pub false_positives: usize,
+    /// True pairs that were not detected.
+    pub missed: usize,
+    /// Pairs that ended degraded (worker lost, stalled, or shed).
+    pub degraded: usize,
+}
+
+impl Detection {
+    /// Tallies correlated verdicts into true/false positives (per the
+    /// caller's notion of a true pair) and counts degraded pairs.
+    pub(crate) fn score<F>(spec: &ScenarioSpec, verdicts: &[Verdict], is_true_pair: F) -> Self
+    where
+        F: Fn(&PairId) -> bool,
+    {
+        let mut d = Detection::default();
+        for v in verdicts {
+            match v {
+                Verdict::Correlated { pair, .. } if is_true_pair(pair) => d.true_positives += 1,
+                Verdict::Correlated { .. } => d.false_positives += 1,
+                Verdict::Degraded { .. } => d.degraded += 1,
+                _ => {}
+            }
+        }
+        d.missed = spec.upstreams.saturating_sub(d.true_positives);
+        d
+    }
+}
+
+impl fmt::Display for Detection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "detection:      {}/{} true pairs, {} false positives, {} missed, {} degraded",
+            self.true_positives,
+            self.true_positives + self.missed,
+            self.false_positives,
+            self.missed,
+            self.degraded
+        )
+    }
 }
 
 /// Runs the spec over its own synthetic stream.
@@ -346,51 +548,43 @@ pub fn run_spec(
     spec: &ScenarioSpec,
     threshold: Option<u32>,
 ) -> Result<ScenarioOutcome, ScenarioRunError> {
-    let SpecCorpus {
-        mut monitor,
-        suspicious,
-        channel_erasures,
-    } = build_spec_corpus(spec, threshold)?;
-    let events = live::merged_stream(&suspicious);
-    let mut injector = chaos_plan(spec).map(|plan| plan.flow_injector());
-    let mut deliveries: Vec<(FlowId, Packet)> = Vec::new();
-    let mut delivered = 0u64;
-    let mut chaos_erasures = 0u64;
-    for &(flow, packet) in &events {
-        deliveries.clear();
-        match injector.as_mut() {
-            Some(injector) => injector.apply(flow, packet, &mut deliveries),
-            None => deliveries.push((flow, packet)),
-        }
-        if deliveries.is_empty() {
-            // The chaos channel swallowed this event outright.
-            chaos_erasures += 1;
-        }
-        for &(flow, packet) in &deliveries {
-            monitor.ingest(flow, packet);
-            delivered += 1;
-        }
-    }
-    let report = monitor.finish();
-    let mut outcome = outcome_from(spec, delivered, &report.verdicts, None, |pair| {
-        pair.upstream.0 == pair.flow.0
-    });
-    outcome.erasures = channel_erasures + chaos_erasures;
-    Ok(outcome)
+    let mut corpus = build_spec_corpus(spec, threshold, scenario_config())?;
+    let mut channel = Channel::new(chaos_plan(spec).as_ref());
+    let Ok(delivered) = feed(
+        &merged_stream(&corpus.suspicious),
+        &mut channel,
+        |flow, packet| {
+            corpus.monitor.ingest(flow, packet);
+            Ok::<(), Infallible>(())
+        },
+    );
+    let erasures = corpus.channel_erasures + channel.swallowed;
+    let report = corpus.monitor.finish();
+    Ok(outcome_from(
+        spec,
+        delivered,
+        erasures,
+        &report.verdicts,
+        None,
+        is_true_pair,
+    ))
 }
 
-/// Renders the spec's suspicious stream as classic-pcap bytes over the
-/// shared flow→5-tuple mapping (see [`LiveScenario::tuple_for`]
-/// [`live::LiveScenario::tuple_for`]).
+/// Renders the spec's suspicious stream as classic-pcap bytes: each
+/// suspicious flow rides its own 5-tuple, merged into one time-ordered
+/// capture. The export is fully determined by the spec, so a capture
+/// written today replays against correlators rebuilt from the same
+/// spec tomorrow — that is how the `tests/data/sample.pcap` fixture
+/// (the `wire` preset) works.
 pub fn export_spec_pcap(spec: &ScenarioSpec) -> Result<Vec<u8>, ScenarioRunError> {
-    let corpus = build_spec_corpus(spec, None)?;
+    let corpus = build_spec_corpus(spec, None, MonitorConfig::default())?;
     let tagged: Vec<_> = corpus
         .suspicious
         .iter()
-        .map(|(id, flow)| (live::flow_tuple(*id), flow))
+        .map(|(id, flow)| (flow_tuple(*id), flow))
         .collect();
     let mut bytes = Vec::new();
-    stepstone_ingest::write_flows(&mut bytes, &tagged)?;
+    write_flows(&mut bytes, &tagged)?;
     Ok(bytes)
 }
 
@@ -404,67 +598,38 @@ pub fn run_spec_pcap(
     bytes: &[u8],
     threshold: Option<u32>,
 ) -> Result<ScenarioOutcome, ScenarioRunError> {
-    let corpus = build_spec_corpus(spec, threshold)?;
-    let channel_erasures = corpus.channel_erasures;
-    let mut chaos_erasures = 0u64;
-    let outcome = match chaos_plan(spec) {
-        Some(plan) => {
-            let mut injector = plan.flow_injector();
-            replay_records_with(
-                parse_capture(bytes)?,
-                corpus.monitor,
-                ReplayClock::Fast,
-                None,
-                |flow, packet, out| {
-                    let before = out.len();
-                    injector.apply(flow, packet, out);
-                    if out.len() == before {
-                        chaos_erasures += 1;
-                    }
-                },
-            )
-        }
-        None => replay_capture(bytes, corpus.monitor, ReplayClock::Fast, None)?,
-    };
-    let mut outcome = attribute(spec, &outcome);
-    outcome.erasures = channel_erasures + chaos_erasures;
-    Ok(outcome)
-}
-
-/// Attributes a capture replay back to scenario identities through the
-/// injective tuple map (demux numbers flows in first-seen order).
-fn attribute(spec: &ScenarioSpec, outcome: &ReplayOutcome) -> ScenarioOutcome {
-    let scenario_id = |demux_id: FlowId| -> Option<FlowId> {
-        let tuple = outcome
-            .flows
-            .iter()
-            .find(|f| f.id == demux_id)
-            .map(|f| f.tuple)?;
-        (0..spec.suspicious_flows() as u64)
-            .map(FlowId)
-            .find(|id| live::flow_tuple(*id) == tuple)
-    };
-    outcome_from(
+    let corpus = build_spec_corpus(spec, threshold, scenario_config())?;
+    let mut channel = Channel::new(chaos_plan(spec).as_ref());
+    let replay = replay_records_with(
+        parse_capture(bytes)?,
+        corpus.monitor,
+        ReplayClock::Fast,
+        None,
+        |flow, packet, out| channel.apply(flow, packet, out),
+    );
+    Ok(outcome_from(
         spec,
-        outcome.events,
-        &outcome.verdicts,
-        outcome.stream_error.as_ref().map(|e| e.to_string()),
-        |pair| scenario_id(pair.flow).is_some_and(|id| id.0 == pair.upstream.0),
-    )
+        replay.events,
+        corpus.channel_erasures + channel.swallowed,
+        &replay.verdicts,
+        replay.stream_error.as_ref().map(ToString::to_string),
+        capture_truth(spec, &replay.flows),
+    ))
 }
 
 /// Packages verdicts into the canonical outcome.
 fn outcome_from<F>(
     spec: &ScenarioSpec,
     events: u64,
+    erasures: u64,
     verdicts: &[Verdict],
     stream_error: Option<String>,
     is_true_pair: F,
 ) -> ScenarioOutcome
 where
-    F: Fn(&stepstone_monitor::PairId) -> bool,
+    F: Fn(&PairId) -> bool,
 {
-    let (true_positives, false_positives, degraded) = live::score_verdicts(verdicts, is_true_pair);
+    let detection = Detection::score(spec, verdicts, is_true_pair);
     let mut lines: Vec<VerdictLine> = verdicts
         .iter()
         .filter_map(|v| {
@@ -480,11 +645,11 @@ where
     ScenarioOutcome {
         digest: spec.digest(),
         events,
-        true_positives: true_positives as u32,
-        false_positives: false_positives as u32,
-        missed: spec.upstreams.saturating_sub(true_positives) as u32,
-        degraded: degraded as u32,
-        erasures: 0,
+        true_positives: detection.true_positives as u32,
+        false_positives: detection.false_positives as u32,
+        missed: detection.missed as u32,
+        degraded: detection.degraded as u32,
+        erasures,
         verdicts: lines,
         stream_error,
     }
@@ -493,6 +658,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use stepstone_scenario::preset;
 
     #[test]
@@ -559,6 +725,10 @@ mod tests {
             (ChaosProfile::Adversarial, Profile::Adversarial),
         ] {
             assert_eq!(scenario.name(), format!("{chaos}"));
+            // chaos_key inverts chaos_plan, so a --chaos plan rides a spec.
+            let mut spec = preset("quick-smoke").expect("preset");
+            spec.chaos = Some(chaos_key(&FaultPlan::new(44, chaos)));
+            assert_eq!(chaos_plan(&spec), Some(FaultPlan::new(44, chaos)));
         }
         for (scenario, core) in stepstone_scenario::Decode::ALL
             .iter()
@@ -599,7 +769,16 @@ mod tests {
     #[test]
     fn mixed_traffic_generates_distinct_flow_families() {
         let spec = preset("tcplib-mix").expect("preset");
-        let corpus = build_spec_corpus(&spec, None).expect("corpus");
+        let corpus = build_spec_corpus(&spec, None, MonitorConfig::default()).expect("corpus");
         assert_eq!(corpus.suspicious.len(), spec.suspicious_flows());
+        assert_eq!(corpus.correlators.len(), spec.upstreams);
+    }
+
+    #[test]
+    fn tuple_mapping_is_injective_over_the_stream() {
+        let spec = preset("multi-flow").expect("preset");
+        let flows = spec.suspicious_flows() as u64;
+        let tuples: BTreeSet<_> = (0..flows).map(|i| flow_tuple(FlowId(i))).collect();
+        assert_eq!(tuples.len() as u64, flows);
     }
 }

@@ -21,13 +21,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use stepstone_chaos::{FaultPlan, Profile};
-use stepstone_core::BackendKind;
-use stepstone_experiments::live::{export_pcap, replay_pcap_chaos, LiveScenario, PcapReport};
-use stepstone_experiments::scenario_run::{run_spec, ScenarioOutcome};
+use stepstone_experiments::live::{replay_pcap, PcapReport};
+use stepstone_experiments::scenario_run::{export_spec_pcap, run_spec, ScenarioOutcome};
 use stepstone_experiments::{ExperimentConfig, Scale};
 use stepstone_ingest::ReplayClock;
 use stepstone_monitor::{PairId, TerminalKind};
-use stepstone_scenario::{preset, Decode, ScenarioSpec};
+use stepstone_scenario::{preset, Backend, ChaosProfile, Decode, ScenarioSpec};
 use stepstone_telemetry::Registry;
 
 /// The pinned harsh seeds. Chosen (by probing the seed space, once) so
@@ -37,30 +36,32 @@ use stepstone_telemetry::Registry;
 /// of the decode schedule.
 const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 
-/// The soak scenario: the scale-independent wire corpus, decoding on
+/// The soak world: the scale-independent wire corpus, decoding on
 /// every accepted packet once a window fills, so the harsh profile's
 /// per-decode fault rates get plenty of draws.
-fn soak_scenario() -> LiveScenario {
-    let mut scenario = LiveScenario::wire(&ExperimentConfig::new(Scale::Quick));
-    scenario.decode_batch = 1;
-    scenario
+fn soak_spec() -> ScenarioSpec {
+    let mut spec = ExperimentConfig::new(Scale::Quick).wire_spec();
+    spec.decode_batch = 1;
+    spec
 }
 
 fn soak(seed: u64) -> (PcapReport, Arc<Registry>) {
-    soak_with(seed, BackendKind::Paper)
+    soak_with(seed, Backend::Paper)
 }
 
-fn soak_with(seed: u64, backend: BackendKind) -> (PcapReport, Arc<Registry>) {
-    let scenario = soak_scenario().with_backend(backend);
-    let bytes = export_pcap(&scenario).expect("wire corpus synthesises");
-    let plan = FaultPlan::new(seed, Profile::Harsh);
+fn soak_with(seed: u64, backend: Backend) -> (PcapReport, Arc<Registry>) {
+    let spec = ScenarioSpec {
+        backend,
+        chaos: Some((seed, ChaosProfile::Harsh)),
+        ..soak_spec()
+    };
+    let bytes = export_spec_pcap(&spec).expect("wire corpus synthesises");
     let registry = Arc::new(Registry::new());
-    let report = replay_pcap_chaos(
-        &scenario,
+    let report = replay_pcap(
+        &spec,
         &bytes,
         ReplayClock::Fast,
         Some(Arc::clone(&registry)),
-        &plan,
     )
     .expect("wire-layer faults spare the capture header");
     (report, registry)
@@ -145,7 +146,7 @@ fn harsh_soak_survives_pinned_seeds() {
 #[test]
 fn every_backend_survives_identical_fault_plans() {
     let seed = SOAK_SEEDS[0];
-    for backend in BackendKind::ALL {
+    for backend in Backend::ALL {
         let (report, _registry) = soak_with(seed, backend);
         let stats = &report.outcome.monitor_stats;
 
@@ -298,8 +299,7 @@ fn deletion_harsh_soak_holds_the_degradation_ladder() {
 /// decision streams, and the cross-layer digest all match.
 #[test]
 fn same_seed_means_byte_identical_fault_schedules() {
-    let scenario = soak_scenario();
-    let bytes = export_pcap(&scenario).expect("wire corpus synthesises");
+    let bytes = export_spec_pcap(&soak_spec()).expect("wire corpus synthesises");
     for seed in SOAK_SEEDS {
         let a = FaultPlan::new(seed, Profile::Harsh);
         let b = FaultPlan::parse(&format!("{seed}:harsh")).unwrap();

@@ -58,6 +58,27 @@ fn exit_1_on_usage_errors() {
 }
 
 #[test]
+fn exit_1_when_a_sizing_flag_breaks_the_spec_validator() {
+    // The monitor's sizing flags override fields of the `monitor`
+    // preset, so a world the validator rejects fails like a bad `.scn`
+    // key would — never as a silent empty run.
+    for (flag, message) in [
+        ("--pairs", "upstreams must be in 1..="),
+        ("--shards", "shards must be in 1..="),
+    ] {
+        let output = repro()
+            .args(["--scale", "quick", flag, "0", "monitor"])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} 0: {stderr}");
+        assert!(stderr.contains(message), "{flag} 0: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag} 0: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} 0 must not run");
+    }
+}
+
+#[test]
 fn exit_3_on_a_stream_error() {
     // A capture that opens correctly and dies mid-packet: the classic
     // pcap magic + one truncated record.

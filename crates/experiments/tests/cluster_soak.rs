@@ -19,15 +19,16 @@
 //! `repro monitor --cluster 3 --chaos 44:harsh`.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
-use stepstone_chaos::{FaultPlan, Profile};
-use stepstone_cluster::HashRing;
+use stepstone_cluster::{HashRing, Message};
 use stepstone_experiments::cluster::{cluster_replay, ClusterOptions, ClusterRunReport};
-use stepstone_experiments::live::LiveScenario;
 use stepstone_experiments::{ExperimentConfig, Scale};
 use stepstone_monitor::PairId;
+use stepstone_scenario::{ChaosProfile, ScenarioSpec};
 use stepstone_telemetry::Registry;
 
 const WORKERS: u32 = 3;
@@ -37,8 +38,8 @@ const CHAOS_SEED: u64 = 44;
 /// inside the ~10k-packet replay, so batches are in flight.
 const KILL_AFTER: u64 = 4_000;
 
-fn soak_scenario() -> LiveScenario {
-    LiveScenario::from_config(&ExperimentConfig::new(Scale::Quick))
+fn soak_spec() -> ScenarioSpec {
+    ExperimentConfig::new(Scale::Quick).monitor_spec()
 }
 
 fn worker_options() -> ClusterOptions {
@@ -65,7 +66,7 @@ fn assert_one_terminal_per_pair(report: &ClusterRunReport) -> HashMap<PairId, us
     );
     assert_eq!(
         terminal.len(),
-        report.scenario.candidate_pairs(),
+        report.spec.candidate_pairs(),
         "every candidate pair must resolve exactly once\n{report}"
     );
     terminal
@@ -73,7 +74,10 @@ fn assert_one_terminal_per_pair(report: &ClusterRunReport) -> HashMap<PairId, us
 
 #[test]
 fn three_workers_survive_kill_nine_mid_replay() {
-    let scenario = soak_scenario();
+    let spec = ScenarioSpec {
+        chaos: Some((CHAOS_SEED, ChaosProfile::Harsh)),
+        ..soak_spec()
+    };
     let mut opts = worker_options();
     // Kill the worker that owns flow 0, so the rehash after the death
     // provably has flows to move.
@@ -81,11 +85,10 @@ fn three_workers_survive_kill_nine_mid_replay() {
         .owner(0)
         .expect("non-empty ring owns every key");
     let registry = Arc::new(Registry::new());
-    opts.chaos = Some(FaultPlan::new(CHAOS_SEED, Profile::Harsh));
     opts.registry = Some(Arc::clone(&registry));
     opts.kill_after = Some((victim, KILL_AFTER));
 
-    let report = cluster_replay(&scenario, &opts).expect("topology survives the kill");
+    let report = cluster_replay(&spec, &opts).expect("topology survives the kill");
     let stats = &report.cluster;
 
     // The coordinator's cross-process ledger balances even with a
@@ -128,8 +131,8 @@ fn three_workers_survive_kill_nine_mid_replay() {
 
 #[test]
 fn clean_three_worker_run_matches_single_process_detection() {
-    let scenario = soak_scenario();
-    let report = cluster_replay(&scenario, &worker_options()).expect("clean replay succeeds");
+    let spec = soak_spec();
+    let report = cluster_replay(&spec, &worker_options()).expect("clean replay succeeds");
     let stats = &report.cluster;
 
     // A clean shutdown retires workers instead of counting deaths.
@@ -145,9 +148,64 @@ fn clean_three_worker_run_matches_single_process_detection() {
     // pair latches (false positives are corpus behaviour, shared with
     // the single-process path, and not asserted here).
     assert_eq!(
-        report.true_positives, scenario.upstreams,
+        report.detection.true_positives, spec.upstreams,
         "all true pairs must correlate\n{report}"
     );
-    assert_eq!(report.missed, 0, "no true pair may be missed\n{report}");
+    assert_eq!(
+        report.detection.missed, 0,
+        "no true pair may be missed\n{report}"
+    );
     assert_one_terminal_per_pair(&report);
+}
+
+/// A worker handed a `Hello` spec that `ScenarioSpec::parse` rejects
+/// fails the handshake with the parser's message: it exits non-zero
+/// without acknowledging, and never panics.
+#[test]
+fn worker_fails_the_handshake_on_an_unparseable_spec() {
+    let canonical = soak_spec().canonical();
+    for (label, spec) in [
+        ("non-UTF-8", vec![0xFF, 0xFE]),
+        (
+            "unknown key",
+            format!("{canonical}future-knob = 9\n").into_bytes(),
+        ),
+        (
+            "zero upstreams",
+            canonical
+                .replace("upstreams = 2\n", "upstreams = 0\n")
+                .into_bytes(),
+        ),
+    ] {
+        let expected = match std::str::from_utf8(&spec) {
+            Ok(text) => ScenarioSpec::parse(text)
+                .expect_err("the parser rejects this spec")
+                .to_string(),
+            Err(_) => "spec is not UTF-8".to_string(),
+        };
+        let mut hello = Vec::new();
+        Message::Hello {
+            worker: 0,
+            generation: 0,
+            spec,
+        }
+        .write_to(&mut hello)
+        .expect("frame encodes");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("cluster-worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("worker spawns");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(&hello).expect("worker reads its Hello");
+        drop(stdin);
+        let output = child.wait_with_output().expect("worker exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{label}: {stderr}");
+        assert!(stderr.contains(&expected), "{label}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{label}: {stderr}");
+        assert!(output.stdout.is_empty(), "{label}: no HelloAck may be sent");
+    }
 }

@@ -11,6 +11,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
+use stepstone_experiments::scenario_run::export_spec_pcap;
 use stepstone_experiments::{live, ExperimentConfig, Scale};
 use stepstone_ingest::ReplayClock;
 use stepstone_telemetry::{MetricsServer, Registry};
@@ -54,19 +55,19 @@ fn family_total(rendered: &str, family: &str) -> u64 {
 
 #[test]
 fn replayed_capture_is_scrapable_over_http() {
-    let cfg = ExperimentConfig::new(Scale::Quick);
-    let scenario = live::LiveScenario::wire(&cfg);
-    let bytes = live::export_pcap(&scenario).expect("wire flows carry the small watermark");
+    let spec = ExperimentConfig::new(Scale::Quick).wire_spec();
+    let bytes = export_spec_pcap(&spec).expect("wire flows carry the small watermark");
 
     let registry = Arc::new(Registry::new());
     let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let report = live::replay_pcap_with(
-        &scenario,
+    let report = live::replay_pcap(
+        &spec,
         &bytes,
         ReplayClock::Fast,
         Some(Arc::clone(&registry)),
     )
     .expect("capture replays");
+    assert!(report.to_string().contains("pcap replay"), "{report}");
     let addr = server.local_addr();
 
     let (status, metrics) = get(addr, "/metrics");
@@ -92,7 +93,7 @@ fn replayed_capture_is_scrapable_over_http() {
         .lines()
         .filter(|l| l.starts_with("monitor_shard_queue_depth{"))
         .count();
-    assert_eq!(depth_series, scenario.shards);
+    assert_eq!(depth_series, spec.shards);
     assert_eq!(family_total(&metrics, "monitor_shard_queue_depth"), 0);
 
     // Verdict counters sum to the report's verdict total, and the
@@ -102,7 +103,7 @@ fn replayed_capture_is_scrapable_over_http() {
     assert!(
         metrics.contains(&format!(
             "monitor_verdicts_total{{kind=\"correlated\"}} {}",
-            report.true_positives + report.false_positives
+            report.detection.true_positives + report.detection.false_positives
         )),
         "{metrics}"
     );
@@ -131,11 +132,9 @@ fn replayed_capture_is_scrapable_over_http() {
 
 #[test]
 fn in_memory_replay_also_publishes_when_given_a_registry() {
-    let cfg = ExperimentConfig::new(Scale::Quick);
-    let scenario = live::LiveScenario::from_config(&cfg);
+    let spec = ExperimentConfig::new(Scale::Quick).monitor_spec();
     let registry = Arc::new(Registry::new());
-    let report =
-        live::replay_with(&scenario, Some(Arc::clone(&registry))).expect("scenario replays");
+    let report = live::replay(&spec, Some(Arc::clone(&registry))).expect("scenario replays");
 
     let rendered = registry.render_prometheus();
     assert_eq!(

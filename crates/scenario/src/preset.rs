@@ -10,27 +10,36 @@
 //! | `deletion-harsh` | Gong/Kiyavash deletion + bursty-insertion channel: harsh chaos + packet loss |
 //! | `chaff-storm` | Heavy Poisson chaff, the paper's worst cover-traffic column |
 //! | `tcplib-mix` | Mixed interactive/tcplib traffic with telnet background decoys |
+//! | `wire` | The `tests/data/sample.pcap` world: one watermarked flow, one decoy |
+//! | `monitor` | `repro monitor`'s world: the paper's Δ = 7 s, chaff 3/s regime |
+//! | `backends-mild` | The sparse-channel regime of `repro backends` |
 
 use crate::{ScenarioError, ScenarioSpec};
 
 /// Every preset name, in library order. [`preset`] accepts exactly
 /// these.
-pub const NAMES: [&str; 6] = [
+pub const NAMES: [&str; 9] = [
     "quick-smoke",
     "baseline",
     "multi-flow",
     "deletion-harsh",
     "chaff-storm",
     "tcplib-mix",
+    "wire",
+    "monitor",
+    "backends-mild",
 ];
 
-const SOURCES: [&str; 6] = [
+const SOURCES: [&str; 9] = [
     include_str!("../presets/quick-smoke.scn"),
     include_str!("../presets/baseline.scn"),
     include_str!("../presets/multi-flow.scn"),
     include_str!("../presets/deletion-harsh.scn"),
     include_str!("../presets/chaff-storm.scn"),
     include_str!("../presets/tcplib-mix.scn"),
+    include_str!("../presets/wire.scn"),
+    include_str!("../presets/monitor.scn"),
+    include_str!("../presets/backends-mild.scn"),
 ];
 
 /// Looks up a preset by name and parses it.

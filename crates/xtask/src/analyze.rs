@@ -12,7 +12,7 @@
 //!
 //! Where `lint` checks one file at a time, this pass parses every
 //! `src/` file of the analyzed crates into [`FileFacts`], links them
-//! into a workspace symbol graph ([`Graph`](crate::graph::Graph)), and
+//! into a workspace symbol graph ([`crate::graph::Graph`]), and
 //! evaluates graph-level rules. Per-file facts are cached in
 //! `target/xtask-analyze.cache` keyed by content hash, so a warm run
 //! re-parses only changed files. Findings are ratcheted against the

@@ -78,8 +78,9 @@ pub fn lint_file(class: &FileClass, src: &str) -> Vec<Finding> {
 }
 
 /// Runs one rule (by id) over a pre-lexed file, applying the same
-/// file-class gating as [`lint_file`]. Lets the driver lex each file
-/// once and time rules individually. Unknown ids are a no-op.
+/// file-class gating as the test-only `lint_file`. Lets the xtask
+/// binary lex each file once and time rules individually. Unknown ids
+/// are a no-op.
 pub fn run_rule(
     rule: &str,
     class: &FileClass,

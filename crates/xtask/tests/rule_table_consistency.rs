@@ -12,7 +12,11 @@ use std::process::Command;
 /// from the JSON `counts` object (one per registered rule, present
 /// even at zero).
 fn binary_rule_ids(subcommand: &str) -> Vec<String> {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("consistency-{subcommand}"));
+    // One root per test thread: tests run in parallel, and two tests
+    // sharing a root race its removal against the other's scan.
+    let thread = std::thread::current().id();
+    let root =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("consistency-{subcommand}-{thread:?}"));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("create empty root");
     let output = Command::new(env!("CARGO_BIN_EXE_xtask"))

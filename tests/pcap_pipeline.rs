@@ -2,12 +2,13 @@
 //! fixture streams through the full ingest → monitor pipeline and the
 //! monitor finds the scenario's true pair.
 //!
-//! The fixture is regenerated byte-for-byte by
-//! `cargo run -p stepstone-experiments --bin repro -- --out tests/data
-//! pcap-export`; this test pins both directions — the capture on disk
-//! parses, and a fresh export still matches it.
+//! The fixture is the `wire` scenario preset's world, regenerated
+//! byte-for-byte by `cargo run -p stepstone-experiments --bin repro --
+//! --out tests/data pcap-export`; this test pins both directions — the
+//! capture on disk parses, and a fresh export still matches it.
 
-use stepstone::experiments::live::{export_pcap, replay_pcap, LiveScenario};
+use stepstone::experiments::live::replay_pcap;
+use stepstone::experiments::scenario_run::export_spec_pcap;
 use stepstone::experiments::{ExperimentConfig, Scale};
 use stepstone::ingest::{parse_capture, FlowDemux, ReplayClock};
 
@@ -36,21 +37,24 @@ fn fixture_is_small_and_parses_cleanly() {
 
 #[test]
 fn fixture_replays_to_the_expected_verdicts() {
-    // Any scale yields the same wire scenario, so the default seed
+    // Any scale yields the same wire world, so the default seed
     // rebuilds the correlators the fixture was exported against.
-    let scenario = LiveScenario::wire(&ExperimentConfig::new(Scale::Quick));
-    let report = replay_pcap(&scenario, &fixture_bytes(), ReplayClock::Fast)
+    let spec = ExperimentConfig::new(Scale::Quick).wire_spec();
+    let report = replay_pcap(&spec, &fixture_bytes(), ReplayClock::Fast, None)
         .expect("fixture replays through the monitor");
-    assert_eq!(report.true_positives, 1, "the true pair is detected");
-    assert_eq!(report.false_positives, 0, "the decoy is cleared");
-    assert_eq!(report.missed, 0);
+    assert_eq!(
+        report.detection.true_positives, 1,
+        "the true pair is detected"
+    );
+    assert_eq!(report.detection.false_positives, 0, "the decoy is cleared");
+    assert_eq!(report.detection.missed, 0);
     assert_eq!(report.outcome.rejected, 0);
 }
 
 #[test]
 fn fixture_matches_a_fresh_export() {
-    let scenario = LiveScenario::wire(&ExperimentConfig::new(Scale::Default));
-    let fresh = export_pcap(&scenario).expect("wire scenario exports");
+    let spec = ExperimentConfig::new(Scale::Default).wire_spec();
+    let fresh = export_spec_pcap(&spec).expect("wire scenario exports");
     assert_eq!(
         fresh,
         fixture_bytes(),
