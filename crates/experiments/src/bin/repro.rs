@@ -5,7 +5,7 @@
 //! targets: table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!          figures (3–10)  synthetic (§4.2)  summary (§4.3)
 //!          future-loss future-repack (§6)  monitor (online engine)
-//!          backends (cross-backend table)  pcap-export (wire fixture)  all
+//!          pcap-export (wire fixture)  matrix (scenario sweeps)  all
 //! ```
 
 #![forbid(unsafe_code)]
@@ -14,7 +14,8 @@
 //! `--shards N` and `--packets N` to size the online replay,
 //! `--backend paper|elices|game` to pick the correlator backend, and
 //! `--decode strict|robust` (with `--erasure-budget N`) to pick the
-//! decode layer.
+//! decode layer. `matrix` takes none of these: its cells vary scenario
+//! keys with `--vary KEY=V1,V2,..` instead.
 
 use std::env;
 use std::fs;
@@ -25,11 +26,11 @@ use std::sync::Arc;
 use stepstone_chaos::FaultPlan;
 use stepstone_core::{DecodeMode, DecodeOptions, UnknownBackend, UnknownDecodeMode};
 use stepstone_experiments::{
-    ablations, backends, cluster, diagnostics, figures, live, matrix, robust, scenario_run, serve,
-    ExperimentConfig, Scale,
+    ablations, cluster, diagnostics, figures, live, matrix, scenario_run, serve, ExperimentConfig,
+    Scale,
 };
 use stepstone_ingest::ReplayClock;
-use stepstone_scenario::ScenarioSpec;
+use stepstone_scenario::{ScenarioError, ScenarioSpec};
 use stepstone_stats::Figure;
 use stepstone_telemetry::{MetricsServer, Registry};
 use stepstone_traffic::Seed;
@@ -161,11 +162,11 @@ const USAGE: &str = "usage: repro [--scale quick|default|full] [--seed N] [--out
              [--chaos SEED[:mild|harsh|adversarial]]
              [--metrics-addr HOST:PORT]
              [--scenario NAME|FILE.scn] [--addr HOST:PORT] [--snapshot FILE]
-             [--scenarios A,B,..] [--backends A,B,..] [--seeds N,M,..]
+             [--scenarios A,B,..] [--vary KEY=V1,V2,..]... [--seeds N,M,..]
              [--workers N] <target>...
-targets: table1 fig3..fig10 figures synthetic summary future-loss future-repack\n         extension-hops ablations diagnostics monitor backends pcap-export\n         scenarios scenario serve matrix robust-sweep all
+targets: table1 fig3..fig10 figures synthetic summary future-loss future-repack\n         extension-hops ablations diagnostics monitor pcap-export\n         scenarios scenario serve matrix all
 exit codes: 0 ok, 1 usage/runtime error, 3 stream error / failed matrix cells,
-            4 unknown --backend/--decode, 5 bad scenario, 6 bad snapshot";
+            4 unknown backend/decode name, 5 bad scenario, 6 bad snapshot";
 
 struct Options {
     cfg: ExperimentConfig,
@@ -203,9 +204,11 @@ struct Options {
     addr: String,
     /// `serve` persists and restores its session table here.
     snapshot: Option<PathBuf>,
+    /// The first `monitor` world flag given, which `matrix` refuses.
+    world_flag: Option<String>,
     /// `matrix` axes and parallelism.
     scenarios: Vec<String>,
-    backends_axis: Vec<stepstone_scenario::Backend>,
+    vary: Vec<String>,
     seeds: Vec<u64>,
     workers: usize,
 }
@@ -236,7 +239,8 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         "baseline".to_string(),
         "deletion-harsh".to_string(),
     ];
-    let mut backends_axis = stepstone_scenario::Backend::ALL.to_vec();
+    let mut vary = Vec::new();
+    let mut world_flag = None;
     let mut seeds: Vec<u64> = vec![1, 2, 3];
     let mut workers: usize = 2;
     let parse_count = |it: &mut std::slice::Iter<String>, flag: &str| {
@@ -247,6 +251,9 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if world_flag.is_none() && WORLD_FLAGS.split_whitespace().any(|f| f == arg) {
+            world_flag = Some(arg.clone());
+        }
         match arg.as_str() {
             "--scale" => {
                 scale = match it.next().map(String::as_str) {
@@ -324,12 +331,8 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
                 let v = it.next().ok_or("--scenarios needs A,B,..")?;
                 scenarios = v.split(',').map(str::to_string).collect();
             }
-            "--backends" => {
-                let v = it.next().ok_or("--backends needs A,B,..")?;
-                backends_axis = v
-                    .split(',')
-                    .map(parse_scenario_backend)
-                    .collect::<Result<_, _>>()?;
+            "--vary" => {
+                vary.push(it.next().ok_or("--vary needs KEY=V1,V2,..")?.to_string());
             }
             "--seeds" => {
                 let v = it.next().ok_or("--seeds needs N,M,..")?;
@@ -382,16 +385,17 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
         scenario,
         addr,
         snapshot,
+        world_flag,
         scenarios,
-        backends_axis,
+        vary,
         seeds,
         workers,
     })
 }
 
-/// Parses a scenario-DSL backend name. Routed through [`CliError`]'s
-/// unknown-backend arm (exit [`EXIT_UNKNOWN_BACKEND`]) the same way
-/// `--backend` is, since the names are pinned to match.
+/// Parses a `--backend` name into its scenario-DSL backend; an unknown
+/// name takes [`CliError`]'s unknown-backend arm (exit
+/// [`EXIT_UNKNOWN_BACKEND`]).
 fn parse_scenario_backend(name: &str) -> Result<stepstone_scenario::Backend, CliError> {
     let name = name.trim();
     stepstone_scenario::Backend::ALL
@@ -404,8 +408,23 @@ fn parse_scenario_backend(name: &str) -> Result<stepstone_scenario::Backend, Cli
         })
 }
 
+/// The flags that size or configure the `monitor` world. `matrix`
+/// rejects them rather than silently ignoring them: its cells vary
+/// spec keys through `--vary`.
+const WORLD_FLAGS: &str = "--pairs --decoys --shards --packets --backend --decode \
+                           --erasure-budget --chaos";
+
 fn run(args: &[String]) -> Result<u8, CliError> {
     let opts = parse(args)?;
+    if opts.targets.iter().any(|t| t == "matrix") {
+        if let Some(flag) = &opts.world_flag {
+            return Err(format!(
+                "matrix takes no {flag}: vary scenario keys with --vary KEY=V1,V2,.. \
+                 (e.g. --vary backend=paper,game --vary decode=robust)"
+            )
+            .into());
+        }
+    }
     if let Some(dir) = &opts.out {
         fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
@@ -510,21 +529,6 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
                 return Ok(EXIT_STREAM_ERROR);
             }
         }
-        "backends" => {
-            let comparison = backends::compare(cfg).map_err(|e| format!("backends: {e}"))?;
-            print!("{comparison}");
-            if let Some(dir) = &opts.out {
-                let scale = match cfg.scale {
-                    Scale::Quick => "quick",
-                    Scale::Default => "default",
-                    Scale::Full => "full",
-                };
-                let path = dir.join("BENCH_backends.json");
-                fs::write(&path, comparison.to_json(scale))
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                eprintln!("wrote {}", path.display());
-            }
-        }
         "pcap-export" => {
             let spec = world(cfg.wire_spec(), opts)?;
             let bytes =
@@ -613,13 +617,13 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
         "matrix" => {
             let options = matrix::MatrixOptions {
                 scenarios: opts.scenarios.clone(),
-                backends: opts.backends_axis.clone(),
+                vary: opts.vary.clone(),
                 seeds: opts.seeds.clone(),
                 workers: opts.workers,
                 worker_exe: env::current_exe()
                     .map_err(|e| format!("cannot find own binary: {e}"))?,
             };
-            let report = matrix::run_matrix(&options).map_err(CliError::Scenario)?;
+            let report = matrix::run_matrix(&options).map_err(matrix_error)?;
             print!("{report}");
             if let Some(dir) = &opts.out {
                 let path = dir.join("BENCH_scenarios.json");
@@ -629,16 +633,6 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
             }
             if !report.failures.is_empty() {
                 return Ok(EXIT_STREAM_ERROR);
-            }
-        }
-        "robust-sweep" => {
-            let report = robust::run_sweep().map_err(|e| format!("robust-sweep: {e}"))?;
-            print!("{report}");
-            if let Some(dir) = &opts.out {
-                let path = dir.join("BENCH_robust.json");
-                fs::write(&path, report.to_json())
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                eprintln!("wrote {}", path.display());
             }
         }
         "all" => {
@@ -660,6 +654,27 @@ fn dispatch(target: &str, opts: &Options) -> Result<u8, CliError> {
         other => return Err(format!("unknown target {other}").into()),
     }
     Ok(0)
+}
+
+/// Maps a matrix setup failure onto the exit-code contract: an
+/// unknown backend or decode name on a `--vary` axis keeps the
+/// `--backend`/`--decode` code, any other value the DSL rejects is a
+/// bad scenario.
+fn matrix_error(err: matrix::MatrixError) -> CliError {
+    match err {
+        matrix::MatrixError::Usage(msg) => CliError::Usage(msg),
+        matrix::MatrixError::Value {
+            key,
+            value,
+            error: ScenarioError::BadValue { .. },
+        } if key == "backend" => CliError::UnknownBackend(UnknownBackend { input: value }),
+        matrix::MatrixError::Value {
+            key,
+            value,
+            error: ScenarioError::BadValue { .. },
+        } if key == "decode" => CliError::UnknownDecode(UnknownDecodeMode { input: value }),
+        err => CliError::Scenario(err.to_string()),
+    }
 }
 
 /// Applies the monitor world overrides — sizing, `--backend`,

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod backends;
 pub mod cluster;
 mod config;
 mod dataset;
@@ -53,7 +52,6 @@ pub mod diagnostics;
 pub mod figures;
 pub mod live;
 pub mod matrix;
-pub mod robust;
 mod runner;
 pub mod scenario_run;
 mod schemes;

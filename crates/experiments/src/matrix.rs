@@ -1,5 +1,13 @@
-//! `repro matrix`: fans scenario × backend × seed cells across worker
-//! processes and collates one machine-readable report.
+//! `repro matrix`: the one evaluation pipeline behind the committed
+//! `BENCH_scenarios.json`, `BENCH_robust.json` and `BENCH_backends.json`.
+//! It fans scenario × axis × seed cells across worker processes and
+//! collates one machine-readable report.
+//!
+//! Besides `--scenarios` and `--seeds`, any scenario DSL key can be an
+//! axis (`--vary KEY=V1,V2,..`). Each value goes through the DSL's own
+//! parser ([`ScenarioSpec::set`]) and each cell through
+//! [`ScenarioSpec::validate`], so the matrix holds no per-key code.
+//! Without a `backend` axis every cell is crossed with every backend.
 //!
 //! Each cell is one [`ScenarioSpec`] run in a fresh `repro matrix-cell`
 //! child — the canonical spec text goes down the child's stdin, one
@@ -9,13 +17,13 @@
 //! coordinator's [`backoff`] pacing: up to [`MAX_ATTEMPTS`] tries per
 //! cell, exponentially spaced, with a hard per-attempt timeout.
 //!
-//! The report orders cells by (scenario, backend, seed) and carries
-//! only reproducible fields (counts and digests, no timings), so two
-//! runs of the same matrix render byte-identical
-//! `BENCH_scenarios.json` — the property the checked-in benchmark file
-//! and its CI check rely on.
+//! A cell reports its online run's detection counts and digests plus
+//! the batch decode cost of every pair at full window — no timings —
+//! so two runs of the same matrix render byte-identical JSON, the
+//! property the checked-in benchmark files and their CI checks rely on.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -23,12 +31,13 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use stepstone_cluster::backoff;
-use stepstone_scenario::{preset, Backend, ScenarioSpec, MAX_SPEC_BYTES};
+use stepstone_monitor::MonitorConfig;
+use stepstone_scenario::{preset, Backend, ScenarioError, ScenarioSpec, MAX_SPEC_BYTES};
 
-use crate::scenario_run::run_spec;
+use crate::scenario_run::{build_spec_corpus, run_spec, ScenarioRunError};
 
 /// Schema tag of the JSON report.
-pub const SCHEMA: &str = "stepstone-matrix-v1";
+pub const SCHEMA: &str = "stepstone-matrix-v2";
 
 /// Tries per cell before it is recorded as a failure.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -53,9 +62,10 @@ pub struct MatrixOptions {
     /// Scenario names: presets, or paths to `.scn` files (anything
     /// containing `/` or ending in `.scn` is read from disk).
     pub scenarios: Vec<String>,
-    /// Backends to cross every scenario with.
-    pub backends: Vec<Backend>,
-    /// Corpus seeds to cross every (scenario, backend) with.
+    /// `KEY=V1,V2,..` axes over scenario DSL keys, crossed with every
+    /// scenario. Without a `backend` axis, every backend is one.
+    pub vary: Vec<String>,
+    /// Corpus seeds to cross every other axis with.
     pub seeds: Vec<u64>,
     /// Concurrent worker processes.
     pub workers: usize,
@@ -64,27 +74,48 @@ pub struct MatrixOptions {
     pub worker_exe: PathBuf,
 }
 
-/// One derived cell: a base scenario specialised to a backend and
-/// seed.
-#[derive(Debug, Clone)]
-pub struct MatrixCell {
-    /// The base scenario's name.
-    pub scenario: String,
-    /// This cell's backend.
-    pub backend: Backend,
-    /// This cell's corpus seed.
-    pub seed: u64,
-    /// The fully-specialised spec the child runs.
-    pub spec: ScenarioSpec,
+/// Why a matrix could not start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MatrixError {
+    /// Malformed options — an empty axis, a repeated value or key, a
+    /// reserved key, no workers — or a worker that cannot be spawned.
+    Usage(String),
+    /// An axis value (or key) the scenario DSL rejects.
+    Value {
+        /// The axis key.
+        key: String,
+        /// The rejected value text.
+        value: String,
+        /// The DSL's error.
+        error: ScenarioError,
+    },
+    /// A scenario that does not resolve, or a derived cell the spec
+    /// validator rejects.
+    Scenario(String),
 }
 
-/// One cell's reproducible result.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+impl fmt::Display for MatrixError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MatrixError::Usage(msg) | MatrixError::Scenario(msg) => f.write_str(msg),
+            MatrixError::Value { key, value, error } => write!(f, "--vary {key}={value}: {error}"),
+        }
+    }
+}
+
+/// One cell's reproducible result. The fields up to `digest` are the
+/// report order, which the derived `PartialOrd` follows; digests are
+/// unique within a matrix, so the costs never decide it.
+#[derive(Debug, Clone, PartialEq, PartialOrd)]
 pub struct CellOutcome {
     /// The base scenario's name.
     pub scenario: String,
     /// Backend name.
     pub backend: &'static str,
+    /// Decode-mode name.
+    pub decode: &'static str,
+    /// Packet loss in parts per million.
+    pub loss_ppm: u32,
     /// Corpus seed.
     pub seed: u64,
     /// The specialised spec's digest.
@@ -102,13 +133,53 @@ pub struct CellOutcome {
     /// Effective deletions the cell's channel inflicted (see
     /// [`crate::scenario_run::ScenarioOutcome::erasures`]).
     pub erasures: u64,
+    /// Mean packet accesses of one full-window decode of a true pair.
+    pub mean_cost_true: f64,
+    /// Mean packet accesses of one full-window decode of a non-pair.
+    pub mean_cost_other: f64,
     /// The run's verdict digest (see
     /// [`crate::scenario_run::ScenarioOutcome::verdict_digest`]).
     pub verdict_digest: u64,
 }
 
-/// The collated sweep: outcomes sorted by (scenario, backend, seed),
-/// plus any cells that exhausted their retries.
+impl CellOutcome {
+    /// The cell's fields in report order, each value rendered as JSON
+    /// (costs to one decimal): the JSON report's cell object and the
+    /// `cell ...` line print the same text.
+    fn fields(&self) -> [(&'static str, String); 15] {
+        let text = |s: &str| format!("\"{s}\"");
+        let hex = |d: u64| format!("\"{d:016x}\"");
+        [
+            ("scenario", text(&self.scenario)),
+            ("backend", text(self.backend)),
+            ("decode", text(self.decode)),
+            ("loss_ppm", self.loss_ppm.to_string()),
+            ("seed", self.seed.to_string()),
+            ("digest", hex(self.digest)),
+            ("events", self.events.to_string()),
+            ("true_positives", self.true_positives.to_string()),
+            ("false_positives", self.false_positives.to_string()),
+            ("missed", self.missed.to_string()),
+            ("degraded", self.degraded.to_string()),
+            ("erasures", self.erasures.to_string()),
+            ("mean_cost_true", format!("{:.1}", self.mean_cost_true)),
+            ("mean_cost_other", format!("{:.1}", self.mean_cost_other)),
+            ("verdict_digest", hex(self.verdict_digest)),
+        ]
+    }
+
+    /// The `cell key=value ...` line a `matrix-cell` child prints.
+    fn line(&self) -> String {
+        let mut line = "cell".to_string();
+        for (key, value) in self.fields() {
+            line.push_str(&format!(" {key}={value}"));
+        }
+        line
+    }
+}
+
+/// The collated sweep: outcomes in report order, plus any cells that
+/// exhausted their retries.
 #[derive(Debug, Clone, Default)]
 pub struct MatrixReport {
     /// Every successful cell, sorted.
@@ -118,9 +189,8 @@ pub struct MatrixReport {
 }
 
 impl MatrixReport {
-    /// The `BENCH_scenarios.json` rendering: schema-tagged, sorted,
-    /// free of timing fields — byte-identical across runs of the same
-    /// matrix.
+    /// The JSON report: schema-tagged, sorted, free of
+    /// timing fields — byte-identical across runs of the same matrix.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -131,23 +201,12 @@ impl MatrixReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\n    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"seed\": {}, \
-                 \"digest\": \"{:016x}\", \"events\": {}, \"true_positives\": {}, \
-                 \"false_positives\": {}, \"missed\": {}, \"degraded\": {}, \
-                 \"erasures\": {}, \"verdict_digest\": \"{:016x}\"}}",
-                c.scenario,
-                c.backend,
-                c.seed,
-                c.digest,
-                c.events,
-                c.true_positives,
-                c.false_positives,
-                c.missed,
-                c.degraded,
-                c.erasures,
-                c.verdict_digest,
-            ));
+            let fields: Vec<String> = c
+                .fields()
+                .iter()
+                .map(|(key, value)| format!("\"{key}\": {value}"))
+                .collect();
+            out.push_str(&format!("\n    {{{}}}", fields.join(", ")));
         }
         out.push_str("\n  ],\n  \"failures\": [");
         for (i, f) in self.failures.iter().enumerate() {
@@ -162,26 +221,11 @@ impl MatrixReport {
 }
 
 impl fmt::Display for MatrixReport {
+    /// One `cell ...` line per cell, then one `FAILED ...` line per
+    /// failure.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<16} {:<8} {:>6} {:>4} {:>4} {:>7} {:>9} {:>9}  verdict-digest",
-            "scenario", "backend", "seed", "tp", "fp", "missed", "degraded", "erasures"
-        )?;
         for c in &self.cells {
-            writeln!(
-                f,
-                "{:<16} {:<8} {:>6} {:>4} {:>4} {:>7} {:>9} {:>9}  {:016x}",
-                c.scenario,
-                c.backend,
-                c.seed,
-                c.true_positives,
-                c.false_positives,
-                c.missed,
-                c.degraded,
-                c.erasures,
-                c.verdict_digest,
-            )?;
+            writeln!(f, "{}", c.line())?;
         }
         for failure in &self.failures {
             writeln!(f, "FAILED {failure}")?;
@@ -209,36 +253,138 @@ pub fn resolve_scenario(name: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-/// Derives the full scenario × backend × seed product. Each cell gets
-/// the backend and seed written into a clone of the base spec; a
-/// chaos-bearing scenario additionally folds the cell seed into its
-/// chaos seed, so different seeds exercise different fault schedules
-/// while the same cell stays reproducible.
-pub fn derive_cells(options: &MatrixOptions) -> Result<Vec<MatrixCell>, String> {
-    if options.scenarios.is_empty() || options.backends.is_empty() || options.seeds.is_empty() {
-        return Err("matrix needs at least one scenario, backend and seed".to_string());
+/// A cell's name in failure lines and validator errors.
+fn label(spec: &ScenarioSpec) -> String {
+    format!("{} [{:016x}] seed {}", spec.name, spec.digest(), spec.seed)
+}
+
+/// Derives the full scenario × axes × seed product. Each cell is a
+/// clone of its base spec with one value of every axis set through
+/// the DSL parser, then the seed; a chaos-bearing scenario also folds
+/// the cell seed into its chaos seed, so different seeds exercise
+/// different fault schedules while the same cell stays reproducible.
+/// Every cell must pass the spec validator and be distinct: two cells
+/// with one digest mean a value repeats on some axis.
+pub fn derive_cells(options: &MatrixOptions) -> Result<Vec<ScenarioSpec>, MatrixError> {
+    let usage = |msg: String| Err(MatrixError::Usage(msg));
+    if options.scenarios.is_empty() || options.seeds.is_empty() {
+        return usage("matrix needs at least one scenario and seed".to_string());
     }
-    let mut cells = Vec::new();
+    let mut axes: Vec<(&str, Vec<&str>)> = Vec::new();
+    for text in &options.vary {
+        let Some((key, values)) = text.split_once('=') else {
+            return usage(format!("--vary {text}: expected KEY=V1,V2,.."));
+        };
+        let key = key.trim();
+        let values: Vec<&str> = values.split(',').map(str::trim).collect();
+        if key == "seed" || key == "name" {
+            return usage(format!(
+                "--vary {key} is not an axis; use --seeds/--scenarios"
+            ));
+        }
+        if axes.iter().any(|(earlier, _)| *earlier == key) {
+            return usage(format!("--vary {key} is given twice"));
+        }
+        if values.contains(&"") {
+            return usage(format!("--vary {key} has an empty value"));
+        }
+        axes.push((key, values));
+    }
+    if !axes.iter().any(|(key, _)| *key == "backend") {
+        axes.insert(0, ("backend", Backend::ALL.map(Backend::name).to_vec()));
+    }
+
+    let (mut cells, mut digests) = (Vec::new(), BTreeSet::new());
     for name in &options.scenarios {
-        let base = resolve_scenario(name)?;
-        for &backend in &options.backends {
-            for &seed in &options.seeds {
-                let mut spec = base.clone();
-                spec.backend = backend;
-                spec.seed = seed;
-                if let Some((chaos_seed, profile)) = spec.chaos {
-                    spec.chaos = Some((chaos_seed ^ seed.rotate_left(17), profile));
+        let base = resolve_scenario(name).map_err(MatrixError::Scenario)?;
+        let mut specs = vec![base];
+        for (key, values) in &axes {
+            let mut next = Vec::with_capacity(specs.len() * values.len());
+            for spec in &specs {
+                for &value in values {
+                    let mut cell = spec.clone();
+                    cell.set(key, value).map_err(|error| MatrixError::Value {
+                        key: key.to_string(),
+                        value: value.to_string(),
+                        error,
+                    })?;
+                    next.push(cell);
                 }
-                cells.push(MatrixCell {
-                    scenario: base.name.clone(),
-                    backend,
-                    seed,
-                    spec,
-                });
+            }
+            specs = next;
+        }
+        for spec in specs {
+            for &seed in &options.seeds {
+                let mut cell = spec.clone();
+                cell.seed = seed;
+                if let Some((chaos_seed, profile)) = cell.chaos {
+                    cell.chaos = Some((chaos_seed ^ seed.rotate_left(17), profile));
+                }
+                cell.validate()
+                    .map_err(|e| MatrixError::Scenario(format!("{}: {e}", label(&cell))))?;
+                if !digests.insert(cell.digest()) {
+                    return usage(format!(
+                        "{} is derived twice: a value repeats in --scenarios, --seeds or --vary",
+                        label(&cell)
+                    ));
+                }
+                cells.push(cell);
             }
         }
     }
     Ok(cells)
+}
+
+/// Runs one cell in process: the spec's online run plus the batch
+/// decode cost of every (upstream, suspicious) pair.
+///
+/// # Errors
+///
+/// Corpus-synthesis failures (see [`run_spec`]).
+pub fn run_cell(spec: &ScenarioSpec) -> Result<CellOutcome, ScenarioRunError> {
+    let outcome = run_spec(spec, None)?;
+    let (mean_cost_true, mean_cost_other) = batch_costs(spec)?;
+    Ok(CellOutcome {
+        scenario: spec.name.clone(),
+        backend: spec.backend.name(),
+        decode: spec.decode.name(),
+        loss_ppm: spec.loss_ppm,
+        seed: spec.seed,
+        digest: outcome.digest,
+        events: outcome.events,
+        true_positives: outcome.true_positives,
+        false_positives: outcome.false_positives,
+        missed: outcome.missed,
+        degraded: outcome.degraded,
+        erasures: outcome.erasures,
+        mean_cost_true,
+        mean_cost_other,
+        verdict_digest: outcome.verdict_digest(),
+    })
+}
+
+/// Decodes every (upstream, suspicious) pair once at full window and
+/// averages the billed packet accesses (`cost + matching_cost`, the
+/// monitor's per-verdict convention) over true pairs and non-pairs.
+fn batch_costs(spec: &ScenarioSpec) -> Result<(f64, f64), ScenarioRunError> {
+    let corpus = build_spec_corpus(spec, None, MonitorConfig::default())?;
+    let (mut true_sum, mut true_n) = (0u64, 0u64);
+    let (mut other_sum, mut other_n) = (0u64, 0u64);
+    for (i, correlator) in corpus.correlators.iter().enumerate() {
+        for (flow_id, flow) in &corpus.suspicious {
+            let outcome = correlator.correlate(flow);
+            let billed = outcome.cost + outcome.matching_cost;
+            if flow_id.0 == i as u64 {
+                true_sum += billed;
+                true_n += 1;
+            } else {
+                other_sum += billed;
+                other_n += 1;
+            }
+        }
+    }
+    let mean = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+    Ok((mean(true_sum, true_n), mean(other_sum, other_n)))
 }
 
 /// The hidden `repro matrix-cell` entry point: one canonical spec on
@@ -267,104 +413,66 @@ pub fn matrix_cell_main(
     }
     let spec =
         ScenarioSpec::parse(&text).map_err(|e| (exit_bad_scenario, format!("bad spec: {e}")))?;
-    let outcome =
-        run_spec(&spec, None).map_err(|e| (exit_run_error, format!("run failed: {e}")))?;
-    writeln!(
-        output,
-        "cell scenario={} backend={} seed={} digest={:016x} events={} tp={} fp={} \
-         missed={} degraded={} erasures={} vdigest={:016x}",
-        spec.name,
-        spec.backend.name(),
-        spec.seed,
-        outcome.digest,
-        outcome.events,
-        outcome.true_positives,
-        outcome.false_positives,
-        outcome.missed,
-        outcome.degraded,
-        outcome.erasures,
-        outcome.verdict_digest(),
-    )
-    .map_err(|e| (exit_run_error, format!("cannot write result: {e}")))?;
+    let outcome = run_cell(&spec).map_err(|e| (exit_run_error, format!("run failed: {e}")))?;
+    writeln!(output, "{}", outcome.line())
+        .map_err(|e| (exit_run_error, format!("cannot write result: {e}")))?;
     Ok(())
 }
 
-/// Parses one `cell ...` line back into an outcome, validating it
-/// against the cell it was supposed to run.
-fn parse_cell_line(line: &str, cell: &MatrixCell) -> Option<CellOutcome> {
-    let rest = line.trim().strip_prefix("cell ")?;
-    let mut outcome = CellOutcome {
-        scenario: cell.scenario.clone(),
-        backend: cell.backend.name(),
-        seed: cell.seed,
-        digest: 0,
-        events: 0,
-        true_positives: 0,
-        false_positives: 0,
-        missed: 0,
-        degraded: 0,
-        erasures: 0,
-        verdict_digest: 0,
+/// Parses one `cell ...` line back into an outcome for `spec`'s cell.
+/// The outcome must render back to exactly the line, which rejects a
+/// missing, repeated, unknown or reordered key and a line that names
+/// another cell.
+fn parse_cell_line(line: &str, spec: &ScenarioSpec) -> Option<CellOutcome> {
+    let line = line.trim();
+    let fields: BTreeMap<&str, &str> = line
+        .strip_prefix("cell ")?
+        .split_whitespace()
+        .filter_map(|field| field.split_once('='))
+        .collect();
+    let field = |key: &str| fields.get(key).copied();
+    let hex = |key: &str| u64::from_str_radix(field(key)?.trim_matches('"'), 16).ok();
+    let outcome = CellOutcome {
+        scenario: spec.name.clone(),
+        backend: spec.backend.name(),
+        decode: spec.decode.name(),
+        loss_ppm: spec.loss_ppm,
+        seed: spec.seed,
+        digest: spec.digest(),
+        events: field("events")?.parse().ok()?,
+        true_positives: field("true_positives")?.parse().ok()?,
+        false_positives: field("false_positives")?.parse().ok()?,
+        missed: field("missed")?.parse().ok()?,
+        degraded: field("degraded")?.parse().ok()?,
+        erasures: field("erasures")?.parse().ok()?,
+        mean_cost_true: field("mean_cost_true")?.parse().ok()?,
+        mean_cost_other: field("mean_cost_other")?.parse().ok()?,
+        verdict_digest: hex("verdict_digest")?,
     };
-    let mut seen = 0u32;
-    for field in rest.split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "scenario" => {
-                if value != cell.scenario {
-                    return None;
-                }
-            }
-            "backend" => {
-                if value != cell.backend.name() {
-                    return None;
-                }
-            }
-            "seed" => {
-                if value.parse::<u64>().ok()? != cell.seed {
-                    return None;
-                }
-            }
-            "digest" => outcome.digest = u64::from_str_radix(value, 16).ok()?,
-            "events" => outcome.events = value.parse().ok()?,
-            "tp" => outcome.true_positives = value.parse().ok()?,
-            "fp" => outcome.false_positives = value.parse().ok()?,
-            "missed" => outcome.missed = value.parse().ok()?,
-            "degraded" => outcome.degraded = value.parse().ok()?,
-            "erasures" => outcome.erasures = value.parse().ok()?,
-            "vdigest" => outcome.verdict_digest = u64::from_str_radix(value, 16).ok()?,
-            _ => return None,
-        }
-        seen += 1;
-    }
-    if seen == 11 && outcome.digest == cell.spec.digest() {
-        Some(outcome)
-    } else {
-        None
-    }
+    (outcome.line() == line).then_some(outcome)
 }
 
 /// One in-flight child.
 struct RunningCell {
     child: Child,
-    cell: MatrixCell,
+    spec: ScenarioSpec,
     attempts: u32,
     started: Instant,
 }
 
 /// Spawns one cell child and feeds it its spec.
-fn spawn_cell(exe: &PathBuf, cell: &MatrixCell) -> Result<Child, String> {
+fn spawn_cell(exe: &PathBuf, spec: &ScenarioSpec) -> Result<Child, MatrixError> {
     let mut child = Command::new(exe)
         .arg("matrix-cell")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))?;
+        .map_err(|e| MatrixError::Usage(format!("cannot spawn {}: {e}", exe.display())))?;
     // The canonical text is well under the pipe buffer; a child that
     // died already surfaces as a write error, which the caller retries.
     if let Some(mut stdin) = child.stdin.take() {
-        if stdin.write_all(cell.spec.canonical().as_bytes()).is_err() {
+        if stdin.write_all(spec.canonical().as_bytes()).is_err() {
             // Leave the child to be reaped by the exit path below.
         }
     }
@@ -390,16 +498,18 @@ fn read_cell_output(child: &mut Child) -> String {
 ///
 /// # Errors
 ///
-/// Only setup failures (bad scenario names, empty axes). Cell failures
-/// after retries land in [`MatrixReport::failures`] instead, so one
-/// broken cell cannot hide the rest of the sweep.
-pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, String> {
+/// Only setup failures (see [`MatrixError`]). Cell failures after
+/// retries land in [`MatrixReport::failures`] instead, so one broken
+/// cell cannot hide the rest of the sweep.
+pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, MatrixError> {
     if options.workers == 0 {
-        return Err("matrix needs at least one worker".to_string());
+        return Err(MatrixError::Usage(
+            "matrix needs at least one worker".to_string(),
+        ));
     }
-    let mut pending: VecDeque<(MatrixCell, u32, Instant)> = derive_cells(options)?
+    let mut pending: VecDeque<(ScenarioSpec, u32, Instant)> = derive_cells(options)?
         .into_iter()
-        .map(|cell| (cell, 0u32, Instant::now()))
+        .map(|spec| (spec, 0u32, Instant::now()))
         .collect();
     let mut running: Vec<RunningCell> = Vec::new();
     let mut report = MatrixReport::default();
@@ -413,18 +523,15 @@ pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, String> {
             else {
                 break;
             };
-            let Some((cell, attempts, _)) = pending.remove(at) else {
+            let Some((spec, attempts, _)) = pending.remove(at) else {
                 break;
             };
-            match spawn_cell(&options.worker_exe, &cell) {
-                Ok(child) => running.push(RunningCell {
-                    child,
-                    cell,
-                    attempts: attempts + 1,
-                    started: Instant::now(),
-                }),
-                Err(e) => return Err(e),
-            }
+            running.push(RunningCell {
+                child: spawn_cell(&options.worker_exe, &spec)?,
+                spec,
+                attempts: attempts + 1,
+                started: Instant::now(),
+            });
         }
 
         let mut finished: Vec<usize> = Vec::new();
@@ -447,19 +554,17 @@ pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, String> {
             let _ = slot.child.wait();
             let parsed = output
                 .lines()
-                .find_map(|line| parse_cell_line(line, &slot.cell));
+                .find_map(|line| parse_cell_line(line, &slot.spec));
             match parsed {
                 Some(outcome) => report.cells.push(outcome),
                 None if slot.attempts < MAX_ATTEMPTS => {
                     let eligible =
                         Instant::now() + backoff(BACKOFF_BASE, BACKOFF_CAP, slot.attempts);
-                    pending.push_back((slot.cell, slot.attempts, eligible));
+                    pending.push_back((slot.spec, slot.attempts, eligible));
                 }
                 None => report.failures.push(format!(
-                    "{} backend={} seed={}: no result after {} attempts",
-                    slot.cell.scenario,
-                    slot.cell.backend.name(),
-                    slot.cell.seed,
+                    "{}: no result after {} attempts",
+                    label(&slot.spec),
                     slot.attempts,
                 )),
             }
@@ -470,7 +575,9 @@ pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, String> {
         }
     }
 
-    report.cells.sort();
+    report
+        .cells
+        .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     report.failures.sort();
     Ok(report)
 }
@@ -479,61 +586,66 @@ pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixReport, String> {
 mod tests {
     use super::*;
 
-    fn options(scenarios: &[&str]) -> MatrixOptions {
+    fn options(scenarios: &[&str], vary: &[&str], seeds: &[u64]) -> MatrixOptions {
         MatrixOptions {
             scenarios: scenarios.iter().map(|s| s.to_string()).collect(),
-            backends: Backend::ALL.to_vec(),
-            seeds: vec![1, 2],
+            vary: vary.iter().map(|v| v.to_string()).collect(),
+            seeds: seeds.to_vec(),
             workers: 2,
             worker_exe: PathBuf::from("unused"),
         }
     }
 
-    #[test]
-    fn derive_cells_covers_the_full_product() {
-        let cells = derive_cells(&options(&["quick-smoke", "deletion-harsh"])).expect("derives");
-        assert_eq!(cells.len(), 2 * Backend::ALL.len() * 2);
-        // Every cell digest is distinct: backend and seed are both in
-        // the canonical text.
-        let mut digests: Vec<u64> = cells.iter().map(|c| c.spec.digest()).collect();
-        digests.sort_unstable();
-        digests.dedup();
-        assert_eq!(digests.len(), cells.len());
-        // Chaos-bearing cells fold the seed into the chaos seed.
-        let harsh: Vec<_> = cells
-            .iter()
-            .filter(|c| c.scenario == "deletion-harsh")
-            .collect();
-        let chaos_seeds: Vec<u64> = harsh
-            .iter()
-            .filter_map(|c| c.spec.chaos.map(|(s, _)| s))
-            .collect();
-        assert_eq!(chaos_seeds.len(), harsh.len());
-        assert_ne!(chaos_seeds[0], chaos_seeds[1]);
+    /// Runs every derived cell in process.
+    fn run_all(scenarios: &[&str], vary: &[&str], seeds: &[u64]) -> Vec<CellOutcome> {
+        let cells = derive_cells(&options(scenarios, vary, seeds)).expect("derives");
+        cells.iter().map(|c| run_cell(c).expect("runs")).collect()
     }
 
     #[test]
-    fn derive_cells_rejects_empty_axes() {
-        let mut o = options(&["quick-smoke"]);
-        o.seeds.clear();
-        assert!(derive_cells(&o).is_err());
-        assert!(derive_cells(&options(&["no-such-preset"])).is_err());
+    fn derive_cells_covers_the_full_product() {
+        let cells = derive_cells(&options(&["quick-smoke", "deletion-harsh"], &[], &[1, 2]))
+            .expect("derives");
+        assert_eq!(cells.len(), 2 * Backend::ALL.len() * 2);
+        let no_seeds = derive_cells(&options(&["quick-smoke"], &[], &[]));
+        assert!(matches!(no_seeds, Err(MatrixError::Usage(_))));
+        // Chaos-bearing cells fold the seed into the chaos seed.
+        let chaos_seeds: BTreeSet<u64> =
+            cells.iter().filter_map(|c| c.chaos).map(|c| c.0).collect();
+        assert_eq!(chaos_seeds.len(), 2, "{chaos_seeds:?}");
+        // A `--vary backend` axis replaces the default one.
+        let axes = ["backend=game", "upstreams=2,3"];
+        let cells = derive_cells(&options(&["baseline"], &axes, &[1])).expect("derives");
+        assert_eq!(cells.len(), 2);
+        assert!(cells.iter().all(|c| c.backend == Backend::Game));
     }
 
     #[test]
     fn cell_main_round_trips_through_the_line_format() {
-        let cells = derive_cells(&options(&["quick-smoke"])).expect("derives");
-        let cell = &cells[0];
-        let mut input = cell.spec.canonical().into_bytes();
+        let cells = derive_cells(&options(&["quick-smoke"], &[], &[1, 2])).expect("derives");
+        let spec = &cells[0];
+        let mut input = spec.canonical().into_bytes();
         let mut output = Vec::new();
         matrix_cell_main(&mut input.as_slice(), &mut output, 5, 3).expect("cell runs");
-        let text = String::from_utf8(output).expect("utf-8");
-        let outcome = parse_cell_line(text.trim(), cell).expect("parses");
-        let direct = run_spec(&cell.spec, None).expect("direct run");
-        assert_eq!(outcome.verdict_digest, direct.verdict_digest());
-        assert_eq!(outcome.true_positives, direct.true_positives);
-        // Taking input from a different cell is rejected.
-        assert!(parse_cell_line(text.trim(), &cells[1]).is_none());
+        let line = String::from_utf8(output).expect("utf-8");
+        let line = line.trim();
+        let outcome = parse_cell_line(line, spec).expect("parses");
+        assert_eq!(line, run_cell(spec).expect("in process").line());
+        assert!(outcome.mean_cost_true > 0.0);
+        // A line for another cell, a repeated key standing in for a
+        // missing one, a dropped key and an extra key are all rejected.
+        assert!(parse_cell_line(line, &cells[1]).is_none());
+        let erasures = format!("erasures={}", outcome.erasures);
+        let tp = format!("true_positives={}", outcome.true_positives);
+        let repeated = line.replace(&erasures, &tp);
+        assert_eq!(repeated.split(' ').count(), line.split(' ').count());
+        for bad in [
+            repeated,
+            line.replace(&erasures, ""),
+            format!("{line} extra=1"),
+        ] {
+            assert!(parse_cell_line(&bad, spec).is_none(), "{bad}");
+        }
         input.truncate(3);
         let mut output = Vec::new();
         let (code, _) =
@@ -541,39 +653,47 @@ mod tests {
         assert_eq!(code, 5);
     }
 
+    /// The `BENCH_robust.json` matrix: robust decoding must not buy
+    /// detections with accusations, nor cost any at zero loss.
     #[test]
-    fn report_json_is_stable_and_schema_tagged() {
-        let mut report = MatrixReport::default();
-        report.cells.push(CellOutcome {
-            scenario: "b".to_string(),
-            backend: "paper",
-            seed: 2,
-            digest: 1,
-            events: 10,
-            true_positives: 2,
-            false_positives: 0,
-            missed: 0,
-            degraded: 0,
-            erasures: 0,
-            verdict_digest: 0xabc,
-        });
-        report.cells.push(CellOutcome {
-            scenario: "a".to_string(),
-            backend: "paper",
-            seed: 1,
-            digest: 2,
-            events: 11,
-            true_positives: 1,
-            false_positives: 1,
-            missed: 1,
-            degraded: 0,
-            erasures: 17,
-            verdict_digest: 0xdef,
-        });
-        report.cells.sort();
-        let json = report.to_json();
-        assert!(json.contains(SCHEMA), "{json}");
-        assert!(json.find("\"a\"") < json.find("\"b\""), "sorted: {json}");
-        assert_eq!(json, report.to_json(), "rendering is pure");
+    fn robust_matrix_has_no_fp_and_robust_never_trails_strict_at_zero_loss() {
+        let axes = ["decode=strict,robust", "loss=0,0.01,0.05,0.1"];
+        let cells = run_all(&["baseline"], &axes, &[1]);
+        assert_eq!(cells.len(), 3 * 2 * 4);
+        assert!(cells.iter().all(|c| c.false_positives == 0), "{cells:?}");
+        for backend in Backend::ALL {
+            let tp = |decode: &str| {
+                let cell = cells
+                    .iter()
+                    .find(|c| (c.backend, c.decode, c.loss_ppm) == (backend.name(), decode, 0));
+                cell.expect("cell exists").true_positives
+            };
+            assert!(
+                tp("robust") >= tp("strict"),
+                "{backend}: robust regressed at zero loss"
+            );
+        }
+    }
+
+    /// The `BENCH_backends.json` matrix: in the mild regime every
+    /// backend separates true pairs from decoys; in the saturated
+    /// stress regime the passive backends go quiet rather than
+    /// false-positive.
+    #[test]
+    fn backend_matrix_separates_mild_and_keeps_passive_backends_quiet_under_stress() {
+        let mild = run_all(&["backends-mild"], &[], &[1_592_590_337]);
+        let stress = run_all(&["monitor"], &["backend=elices,game"], &[1_592_590_337]);
+        assert_eq!((mild.len(), stress.len()), (3, 2));
+        for c in mild.iter().chain(&stress) {
+            assert!(
+                c.true_positives + c.missed == 4 && c.mean_cost_true > 0.0,
+                "{c:?}"
+            );
+        }
+        assert!(
+            mild.iter().all(|c| (c.missed, c.false_positives) == (0, 0)),
+            "{mild:?}"
+        );
+        assert!(stress.iter().all(|c| c.false_positives == 0), "{stress:?}");
     }
 }

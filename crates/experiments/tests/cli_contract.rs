@@ -113,12 +113,58 @@ fn exit_3_on_a_stream_error() {
 #[test]
 fn exit_4_on_an_unknown_backend_axis() {
     let output = repro()
-        .args(["--backends", "paper,bogus", "matrix"])
+        .args(["--vary", "backend=paper,bogus", "matrix"])
         .output()
         .expect("repro runs");
     assert_eq!(output.status.code(), Some(4));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown backend"), "stderr: {stderr}");
+}
+
+#[test]
+fn matrix_refuses_world_flags_repeats_and_bad_axes() {
+    // (extra args, exit code, stderr must contain). The matrix never
+    // runs a cell here: every case fails before the first spawn.
+    let mut cases: Vec<(Vec<&str>, i32, &str)> = [
+        ["--pairs", "2"],
+        ["--decoys", "2"],
+        ["--shards", "1"],
+        ["--packets", "500"],
+        ["--backend", "game"],
+        ["--decode", "robust"],
+        ["--erasure-budget", "3"],
+        ["--chaos", "7:mild"],
+    ]
+    .into_iter()
+    .map(|flag| (flag.to_vec(), 1, "--vary KEY=V"))
+    .collect();
+    cases.extend([
+        (vec!["--seeds", "1,1"], 1, "derived twice"),
+        (vec!["--vary", "loss=0.1,0.10"], 1, "derived twice"),
+        (vec!["--vary", "seed=1,2"], 1, "is not an axis"),
+        (vec!["--vary", "name=x"], 1, "is not an axis"),
+        (vec!["--vary", "decode=bogus"], 4, "valid: strict, robust"),
+        (
+            vec!["--vary", "backend=bogus"],
+            4,
+            "valid: paper, elices, game",
+        ),
+        (vec!["--vary", "no-such-key=1"], 5, "unknown key"),
+        (vec!["--vary", "loss=abc"], 5, "bad value for \"loss\""),
+        (vec!["--vary", "packets=64"], 5, "cannot carry"),
+        (vec!["--scenarios", "no-such-preset"], 5, "unknown preset"),
+    ]);
+    for (extra, code, message) in cases {
+        let output = repro()
+            .args(["--scenarios", "quick-smoke", "matrix"])
+            .args(&extra)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{extra:?}: {stderr}");
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{extra:?} must not run a cell");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use stepstone_experiments::matrix::{run_matrix, MatrixOptions, SCHEMA};
+use stepstone_experiments::matrix::{run_cell, run_matrix, MatrixOptions, SCHEMA};
 use stepstone_scenario::Backend;
 
 fn options() -> MatrixOptions {
@@ -18,7 +18,7 @@ fn options() -> MatrixOptions {
             "baseline".to_string(),
             "deletion-harsh".to_string(),
         ],
-        backends: Backend::ALL.to_vec(),
+        vary: Vec::new(),
         seeds: vec![1],
         workers: 4,
         worker_exe: PathBuf::from(env!("CARGO_BIN_EXE_repro")),
@@ -51,12 +51,13 @@ fn two_runs_of_the_same_matrix_are_byte_identical() {
     let mut spec = stepstone_scenario::preset("quick-smoke").expect("preset");
     spec.seed = 1;
     spec.backend = Backend::Paper;
-    let direct = stepstone_experiments::scenario_run::run_spec(&spec, None).expect("direct");
+    let direct = run_cell(&spec).expect("direct");
     let cell = first
         .cells
         .iter()
         .find(|c| c.scenario == "quick-smoke" && c.backend == "paper" && c.seed == 1)
         .expect("cell present");
     assert_eq!(cell.digest, spec.digest());
-    assert_eq!(cell.verdict_digest, direct.verdict_digest());
+    assert_eq!(cell.verdict_digest, direct.verdict_digest);
+    assert_eq!(cell.true_positives, direct.true_positives);
 }

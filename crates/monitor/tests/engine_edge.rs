@@ -3,11 +3,14 @@
 //! degenerate (empty/undersized) inputs.
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Mutex};
 
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
 use stepstone_core::{Algorithm, WatermarkCorrelator};
 use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
-use stepstone_monitor::{FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict};
+use stepstone_monitor::{
+    DecodeFault, FaultHook, FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict,
+};
 use stepstone_traffic::{InteractiveProfile, Seed, SessionGenerator};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
@@ -104,15 +107,26 @@ fn finish_flushes_every_pair_through_full_single_slot_queues() {
 
 /// Heavy backpressure: drops are counted, but accepted work is
 /// conserved — after `finish`, scheduled = run, the queues are empty,
-/// and no pair is left without a verdict.
+/// and no pair is left without a verdict. The first decode is held
+/// until every packet is ingested, so the one-slot queue is provably
+/// full whatever the shard worker's speed.
 #[test]
 fn drop_accounting_is_conserved_under_backpressure() {
     const FLOWS: usize = 6;
+    let (release, hold) = mpsc::channel::<()>();
+    let hold = Mutex::new(hold);
     let (mut monitor, marked) = monitor_with_upstream(
         MonitorConfig::default()
             .with_shards(1)
             .with_queue_capacity(1)
-            .with_decode_batch(1),
+            .with_decode_batch(1)
+            .with_fault_hook(FaultHook::new(move |seq, _| {
+                if seq == 0 {
+                    // Err means the test dropped its sender: stop holding.
+                    let _ = hold.lock().expect("only this hook locks").recv();
+                }
+                DecodeFault::None
+            })),
         200,
         9,
     );
@@ -125,6 +139,7 @@ fn drop_accounting_is_conserved_under_backpressure() {
         }
     }
     let mid = monitor.stats();
+    release.send(()).expect("the hook holds the receiver");
     assert!(mid.decodes_dropped > 0, "expected drops: {mid}");
     assert_eq!(mid.packets_ingested, total_packets);
 

@@ -67,13 +67,13 @@ impl fmt::Display for ScenarioError {
                 write!(f, "line {line}: expected `key = value`")
             }
             ScenarioError::UnknownKey { key, line } => {
-                write!(f, "line {line}: unknown key {key:?}")
+                write!(f, "{}unknown key {key:?}", at(*line))
             }
             ScenarioError::DuplicateKey { key, line } => {
                 write!(f, "line {line}: duplicate key {key:?}")
             }
             ScenarioError::BadValue { key, line, reason } => {
-                write!(f, "line {line}: bad value for {key:?}: {reason}")
+                write!(f, "{}bad value for {key:?}: {reason}", at(*line))
             }
             ScenarioError::Invalid { reason } => write!(f, "invalid scenario: {reason}"),
             ScenarioError::UnknownPreset { name } => {
@@ -84,6 +84,16 @@ impl fmt::Display for ScenarioError {
                 )
             }
         }
+    }
+}
+
+/// The `line N: ` prefix, empty for line 0 (a key set outside any text
+/// by [`ScenarioSpec::set`](crate::ScenarioSpec::set)).
+fn at(line: usize) -> String {
+    if line == 0 {
+        String::new()
+    } else {
+        format!("line {line}: ")
     }
 }
 

@@ -12,7 +12,7 @@
 //! | `tcplib-mix` | Mixed interactive/tcplib traffic with telnet background decoys |
 //! | `wire` | The `tests/data/sample.pcap` world: one watermarked flow, one decoy |
 //! | `monitor` | `repro monitor`'s world: the paper's Δ = 7 s, chaff 3/s regime |
-//! | `backends-mild` | The sparse-channel regime of `repro backends` |
+//! | `backends-mild` | The sparse-channel regime of the cross-backend comparison (`BENCH_backends.json`) |
 
 use crate::{ScenarioError, ScenarioSpec};
 

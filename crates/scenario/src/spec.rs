@@ -332,6 +332,14 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
+    /// Sets one key from its DSL value text, through the same per-key
+    /// parser as [`parse`](Self::parse). Errors carry line 0. Does not
+    /// validate: call [`validate`](Self::validate) once every key is
+    /// set.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        apply(self, key, value.trim(), 0)
+    }
+
     /// Checks cross-field consistency; [`parse`](Self::parse) calls
     /// this, and hand-built specs should too before use.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -819,6 +827,25 @@ mod tests {
             Err(ScenarioError::BadValue { key, .. }) if key == "decode"
         ));
         assert!(ScenarioSpec::parse("name = r\nerasure-budget = 999999999\n").is_err());
+    }
+
+    #[test]
+    fn set_runs_the_per_key_parser_without_a_line() {
+        let mut spec = ScenarioSpec::base("s");
+        spec.set("loss", " 0.05 ").expect("loss parses");
+        spec.set("decode", "robust").expect("decode parses");
+        assert_eq!(spec.loss_ppm, 50_000);
+        assert_eq!(spec.decode, Decode::Robust);
+        let err = spec.set("backend", "bogus").expect_err("unknown backend");
+        assert!(
+            err.to_string().starts_with("bad value for \"backend\""),
+            "{err}"
+        );
+        let err = spec.set("no-such-key", "1").expect_err("unknown key");
+        assert_eq!(err.to_string(), "unknown key \"no-such-key\"");
+        // `set` leaves cross-field checks to `validate`.
+        spec.set("packets", "64").expect("a count parses");
+        assert!(spec.validate().is_err());
     }
 
     #[test]
