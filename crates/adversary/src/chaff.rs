@@ -137,8 +137,11 @@ impl Transform for ChaffInjector {
         }
         let mut b = FlowBuilder::with_capacity(times.len());
         for t in times {
+            #[expect(
+                clippy::expect_used,
+                reason = "PoissonProcess emits sorted times, so push cannot see a regression"
+            )]
             b.push(Packet::chaff(t, PoissonProcess::CHAFF_SIZE))
-                // lint: allow(no_panic) PoissonProcess emits sorted times, so push cannot see a regression
                 .expect("chaff times are sorted");
         }
         flow.merged_with(&b.finish())

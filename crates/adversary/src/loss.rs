@@ -46,8 +46,12 @@ impl Transform for PacketLoss {
             .iter()
             .copied()
             .filter(|_| !rng.gen_bool(self.probability));
-        // lint: allow(no_panic) dropping packets from a sorted flow cannot break ordering
-        Flow::from_packets(kept).expect("filtering preserves order")
+        #[expect(
+            clippy::expect_used,
+            reason = "dropping packets from a sorted flow cannot break ordering"
+        )]
+        let survivors = Flow::from_packets(kept).expect("filtering preserves order");
+        survivors
     }
 
     fn label(&self) -> String {

@@ -59,8 +59,12 @@ impl Transform for Repacketizer {
                 _ => merged.push(*p),
             }
         }
-        // lint: allow(no_panic) coalescing adjacent packets keeps the head timestamps sorted
-        Flow::from_packets(merged).expect("merging preserves order")
+        #[expect(
+            clippy::expect_used,
+            reason = "coalescing adjacent packets keeps the head timestamps sorted"
+        )]
+        let repacked = Flow::from_packets(merged).expect("merging preserves order");
+        repacked
     }
 
     fn label(&self) -> String {

@@ -150,6 +150,10 @@ impl ZhangGuanDetector {
         }
         // No narrow band is feasible: report the spread of the plain
         // first-fit matching (which exists — tightening succeeded).
+        #[expect(
+            clippy::expect_used,
+            reason = "tighten() already proved a feasible matching exists in this band"
+        )]
         let dev = self
             .band_first_fit(
                 upstream,
@@ -158,7 +162,6 @@ impl ZhangGuanDetector {
                 (TimeDelta::ZERO, self.delta),
                 &mut meter,
             )
-            // lint: allow(no_panic) tighten() already proved a feasible matching exists in this band
             .expect("tightened sets admit the earliest-first-fit matching");
         DeviationOutcome {
             correlated: dev <= self.threshold,

@@ -664,6 +664,7 @@ impl Cluster {
                     }
                     slot.last_heard = Instant::now();
                 }
+                #[deny(clippy::wildcard_enum_match_arm)]
                 match msg {
                     Message::HelloAck { .. } => {
                         let slot = &mut self.slots[index as usize];
@@ -708,8 +709,8 @@ impl Cluster {
                     // are protocol noise; ignore rather than bring down
                     // the topology over one confused child. Named
                     // explicitly (not `_`) so a future Message variant
-                    // fails ipc_exhaustive until this dispatch decides
-                    // how to treat it.
+                    // fails to compile until this dispatch decides how
+                    // to treat it.
                     Message::Hello { .. }
                     | Message::Batch { .. }
                     | Message::Ping { .. }

@@ -99,7 +99,7 @@ impl BatchEntry {
 /// per-shard depth vector into its sum — that is all the cross-process
 /// conservation identity needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)] // field names mirror `MonitorStats` exactly
+#[allow(missing_docs, reason = "field names mirror `MonitorStats` exactly")]
 pub struct WireStats {
     pub packets_ingested: u64,
     pub packets_rejected: u64,

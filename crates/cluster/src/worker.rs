@@ -130,6 +130,7 @@ where
             Some(engine) => engine,
             None => return Err(ServeError::Protocol("frame after Shutdown")),
         };
+        #[deny(clippy::wildcard_enum_match_arm)]
         match msg {
             Message::Batch { seq, entries } => {
                 let mut accepted = 0u32;

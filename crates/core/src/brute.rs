@@ -20,7 +20,10 @@ use crate::optimal::{exhaustive_search, SearchResult};
 /// candidates that cannot participate in any complete order-consistent
 /// matching, so no subsequence the paper's formulation would consider is
 /// lost.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the decode inputs shared by every search backend; a struct would only rename them"
+)]
 pub(crate) fn run_brute_force(
     plan: &EndpointPlan,
     sets: &MatchingSets,

@@ -31,10 +31,14 @@ pub(crate) fn repair_order(
         let e = &plan.endpoints[pos];
         meter.charge_one();
         if e.wants_late && sel[pos] >= min_later {
-            // lint: allow(no_panic) tightening makes first matches strictly increasing, so a conflict-free pick exists
-            sel[pos] = latest_before(sets.set(e.up), min_later).expect(
+            #[expect(
+                clippy::expect_used,
+                reason = "tightening makes first matches strictly increasing, so a conflict-free pick exists"
+            )]
+            let pick = latest_before(sets.set(e.up), min_later).expect(
                 "tightened first matches strictly increase, so one is always conflict-free",
             );
+            sel[pos] = pick;
         }
         min_later = min_later.min(sel[pos]);
     }
@@ -53,7 +57,10 @@ pub(crate) fn repair_order(
 /// committing only when the bit's `D` improves and no currently-matched
 /// bit flips sign. Terminates as soon as the Hamming distance reaches
 /// the threshold.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the decode inputs shared by every search backend; a struct would only rename them"
+)]
 pub(crate) fn improve(
     plan: &EndpointPlan,
     sets: &MatchingSets,
@@ -92,8 +99,11 @@ pub(crate) fn improve(
                 }
                 let e = &plan.endpoints[pos];
                 let set = sets.set(e.up);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "MatchingSets::tighten rejects flows with an empty set up front"
+                )]
                 let desired = if e.wants_late {
-                    // lint: allow(no_panic) MatchingSets::tighten rejects flows with an empty set up front
                     *set.last().expect("sets are never empty")
                 } else {
                     set[0]
@@ -141,7 +151,10 @@ enum ShiftOutcome {
 /// the smallest candidates that restore strict order. Commits only if
 /// the focus bit's `D` moves toward its wanted sign and no
 /// currently-matched bit flips.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one shift attempt threads the whole improve() state through"
+)]
 fn try_shift(
     plan: &EndpointPlan,
     sets: &MatchingSets,

@@ -14,7 +14,7 @@ pub(crate) struct SearchResult {
     /// Best decode found (never worse than the starting selection).
     pub state: BitState,
     /// The selection realizing it (read by invariant tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code, reason = "read by invariant tests"))]
     pub sel: Vec<u32>,
     /// `false` when the cost bound stopped the search early.
     pub completed: bool,
@@ -29,7 +29,10 @@ pub(crate) struct SearchResult {
 /// with `completed = false` ("it returns the best watermark obtained so
 /// far"). The search also stops as soon as a selection reaches the
 /// detection `threshold`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the decode inputs shared by every search backend plus the search bounds"
+)]
 pub(crate) fn exhaustive_search(
     plan: &EndpointPlan,
     sets: &MatchingSets,

@@ -141,9 +141,12 @@ pub fn ablation_phase1(cfg: &ExperimentConfig) -> String {
                 let correlator =
                     WatermarkCorrelator::new(up.marker, up.watermark.clone(), cfg.fixed_delta, alg)
                         .with_phase1_scope(scope);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dataset flows were embedded with this layout, so prepare cannot reject them"
+                )]
                 let prepared = correlator
                     .prepare(&up.original, &up.marked)
-                    // lint: allow(no_panic) dataset flows were embedded with this layout, so prepare cannot reject them
                     .expect("prepared flows host the layout");
                 let own = attacked(
                     &up.marked,

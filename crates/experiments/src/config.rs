@@ -107,7 +107,10 @@ impl ExperimentConfig {
     /// A checked-in scenario preset, reseeded with this configuration's
     /// seed.
     pub(crate) fn preset(&self, name: &str) -> ScenarioSpec {
-        // lint: allow(no_panic) checked-in preset texts parse; pinned by the preset tests
+        #[expect(
+            clippy::expect_used,
+            reason = "checked-in preset texts parse; pinned by the preset tests"
+        )]
         let mut spec = stepstone_scenario::preset(name).expect("checked-in presets parse");
         spec.seed = self.seed.value();
         spec

@@ -72,9 +72,12 @@ fn prepare_flow(original: Flow, params: WatermarkParams, seed: Seed) -> Prepared
     let key = WatermarkKey::new(seed.child(1).value());
     let marker = IpdWatermarker::new(key, params);
     let watermark = Watermark::random(params.bits, &mut key.rng(0x3A7));
+    #[expect(
+        clippy::expect_used,
+        reason = "corpus generators emit flows long enough for the layout by construction"
+    )]
     let marked = marker
         .embed(&original, &watermark)
-        // lint: allow(no_panic) corpus generators emit flows long enough for the layout by construction
         .expect("corpus traces are sized to host the watermark layout");
     PreparedFlow {
         original,

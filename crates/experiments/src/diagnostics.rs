@@ -30,9 +30,12 @@ pub fn hamming_histograms(cfg: &ExperimentConfig) -> String {
             cfg.fixed_delta,
             Algorithm::GreedyPlus,
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "dataset flows were embedded with this layout, so prepare cannot reject them"
+        )]
         let prepared = correlator
             .prepare(&up.original, &up.marked)
-            // lint: allow(no_panic) dataset flows were embedded with this layout, so prepare cannot reject them
             .expect("prepared flows host the layout");
         let own = attacked(
             &up.marked,

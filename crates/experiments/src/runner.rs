@@ -152,11 +152,15 @@ where
             .chunks(chunk)
             .map(|slice| scope.spawn(|| slice.iter().map(&f).collect::<Vec<R>>()))
             .collect();
-        out = handles
+        #[expect(
+            clippy::expect_used,
+            reason = "re-raise a worker panic on the driver thread; swallowing it would fake results"
+        )]
+        let joined = handles
             .into_iter()
-            // lint: allow(no_panic) re-raise a worker panic on the driver thread; swallowing it would fake results
             .map(|h| h.join().expect("experiment worker panicked"))
             .collect();
+        out = joined;
     });
     out.into_iter().flatten().collect()
 }

@@ -251,10 +251,13 @@ fn generate_flow(spec: &ScenarioSpec, index: usize, decoy: bool, seed: Seed) -> 
     let interactive = |profile: InteractiveProfile| {
         SessionGenerator::new(profile).generate(spec.packets, Timestamp::ZERO, &mut seed.rng(0))
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "tcplib_corpus(1, ..) yields exactly one flow by contract"
+    )]
     let tcplib = || {
         tcplib_corpus(1, spec.packets, seed)
             .pop()
-            // lint: allow(no_panic) tcplib_corpus(1, ..) yields exactly one flow by contract
             .expect("tcplib_corpus(1, ..) yields one flow")
     };
     match spec.traffic {

@@ -45,11 +45,15 @@ impl Scheme {
 
     /// Position in [`SCHEMES`] (array indexing for results).
     pub fn index(&self) -> usize {
-        SCHEMES
+        #[expect(
+            clippy::expect_used,
+            reason = "SCHEMES enumerates every variant; a miss is a compile-time-sized table bug"
+        )]
+        let index = SCHEMES
             .iter()
             .position(|s| s == self)
-            // lint: allow(no_panic) SCHEMES enumerates every variant; a miss is a compile-time-sized table bug
-            .expect("SCHEMES contains every variant")
+            .expect("SCHEMES contains every variant");
+        index
     }
 
     /// Runs this scheme on one (upstream, suspicious) pair, returning
@@ -63,8 +67,11 @@ impl Scheme {
     ) -> (bool, u64) {
         match self {
             Scheme::BasicWm => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dataset flows were embedded with this layout, so binding cannot fail"
+                )]
                 let d = BasicWatermarkDetector::new(up.marker, up.watermark.clone(), &up.original)
-                    // lint: allow(no_panic) dataset flows were embedded with this layout, so binding cannot fail
                     .expect("prepared flows host the layout");
                 let out = d.correlate(suspicious);
                 (out.correlated, out.cost)
@@ -84,9 +91,12 @@ impl Scheme {
                     },
                 };
                 let c = WatermarkCorrelator::new(up.marker, up.watermark.clone(), delta, algorithm);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dataset flows were embedded with this layout, so prepare cannot reject them"
+                )]
                 let prepared = c
                     .prepare(&up.original, &up.marked)
-                    // lint: allow(no_panic) dataset flows were embedded with this layout, so prepare cannot reject them
                     .expect("prepared flows host the layout");
                 let out = prepared.correlate(suspicious);
                 (out.correlated, out.cost)

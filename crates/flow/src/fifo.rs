@@ -106,8 +106,12 @@ impl FifoChannel {
             prev_release = Some(release);
             packets.push(p.at(release));
         }
-        // lint: allow(no_panic) release times are clamped to be monotone in the loop above
-        Flow::from_packets(packets).expect("FIFO release times are monotone")
+        #[expect(
+            clippy::expect_used,
+            reason = "release times are clamped to be monotone in the loop above"
+        )]
+        let released = Flow::from_packets(packets).expect("FIFO release times are monotone");
+        released
     }
 }
 

@@ -151,9 +151,13 @@ impl SlidingWindow {
     /// Materialises the retained packets as a [`Flow`] for batch
     /// decoding. Provenance is preserved.
     pub fn snapshot(&self) -> Flow {
-        Flow::from_packets(self.packets.iter().copied())
-            // lint: allow(no_panic) push() rejects out-of-order packets, so the retained buffer is always sorted
-            .expect("window invariant: timestamps are non-decreasing")
+        #[expect(
+            clippy::expect_used,
+            reason = "push() rejects out-of-order packets, so the retained buffer is always sorted"
+        )]
+        let flow = Flow::from_packets(self.packets.iter().copied())
+            .expect("window invariant: timestamps are non-decreasing");
+        flow
     }
 
     /// Drops all retained packets; cumulative counters are kept.

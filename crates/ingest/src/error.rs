@@ -8,7 +8,7 @@ use stepstone_flow::Timestamp;
 /// Errors produced by the wire-ingestion layer.
 ///
 /// Every malformed input maps to a variant here — corrupt captures must
-/// never panic the reader (the workspace `no_panic` invariant), they
+/// never panic the reader (the workspace no-panic invariant), they
 /// surface as `Err` values the caller can report.
 #[derive(Debug)]
 #[non_exhaustive]

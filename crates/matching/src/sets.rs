@@ -138,9 +138,13 @@ impl MatchingSets {
                 set.windows(2).all(|w| w[0] < w[1]),
                 "matching set {i} must be strictly sorted"
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "the assert two lines up already rejected empty sets"
+            )]
+            let last = *set.last().expect("nonempty");
             assert!(
-                // lint: allow(no_panic) the assert two lines up already rejected empty sets
-                (*set.last().expect("nonempty") as usize) < suspicious_len,
+                (last as usize) < suspicious_len,
                 "matching set {i} references an out-of-range packet"
             );
         }
@@ -189,8 +193,12 @@ impl MatchingSets {
     ///
     /// Panics if `i` is out of range.
     pub fn last(&self, i: usize) -> u32 {
-        // lint: allow(no_panic) the constructor asserts every set is nonempty
-        *self.sets[i].last().expect("sets are never empty")
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor asserts every set is nonempty"
+        )]
+        let last = *self.sets[i].last().expect("sets are never empty");
+        last
     }
 
     /// Total number of candidates across all sets (`Σ |M(pᵢ)|`).
@@ -264,8 +272,12 @@ impl MatchingSets {
                     return false;
                 }
             }
-            // lint: allow(no_panic) the is_empty early-return above guarantees a last element
-            max_excl = Some(*set.last().expect("nonempty"));
+            #[expect(
+                clippy::expect_used,
+                reason = "the is_empty early-return above guarantees a last element"
+            )]
+            let last = *set.last().expect("nonempty");
+            max_excl = Some(last);
         }
         true
     }

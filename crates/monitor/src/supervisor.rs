@@ -379,11 +379,14 @@ impl Supervisor {
             fault_hook: self.fault_hook.clone(),
             decode_seq: Arc::clone(&self.decode_seq),
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on resource exhaustion; documented under Panics"
+        )]
         self.workers.push(
             std::thread::Builder::new()
                 .name(format!("monitor-shard-{shard}"))
                 .spawn(move || worker_loop(ctx))
-                // lint: allow(no_panic) thread spawn fails only on resource exhaustion; documented under Panics
                 .expect("spawn monitor shard worker"),
         );
     }
@@ -402,10 +405,13 @@ impl Supervisor {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
         let epoch = self.epoch;
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn fails only on resource exhaustion; documented under Panics"
+        )]
         let handle = std::thread::Builder::new()
             .name("monitor-watchdog".into())
             .spawn(move || watchdog_loop(slots, gauge, thread_stop, epoch, timeout))
-            // lint: allow(no_panic) thread spawn fails only on resource exhaustion; documented under Panics
             .expect("spawn monitor watchdog");
         self.watchdog = Some(Watchdog { stop, handle });
     }

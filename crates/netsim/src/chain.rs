@@ -69,11 +69,12 @@ impl ChainBuilder {
             rate.is_finite() && rate >= 0.0,
             "chaff rate must be non-negative and finite, got {rate}"
         );
-        self.hops
-            .last_mut()
-            // lint: allow(no_panic) builder misuse (with_chaff before any hop); documented panic contract
-            .expect("with_chaff must follow a hop")
-            .chaff_rate = rate;
+        #[expect(
+            clippy::expect_used,
+            reason = "builder misuse (with_chaff before any hop); documented panic contract"
+        )]
+        let hop = self.hops.last_mut().expect("with_chaff must follow a hop");
+        hop.chaff_rate = rate;
         self
     }
 
@@ -208,8 +209,12 @@ impl ChainObservation {
     ///
     /// Panics if the chain had no hops (builder forbids this).
     pub fn last(&self) -> &Flow {
-        // lint: allow(no_panic) the builder refuses to construct a zero-hop chain
-        self.flows.last().expect("chains have at least one hop")
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder refuses to construct a zero-hop chain"
+        )]
+        let last = self.flows.last().expect("chains have at least one hop");
+        last
     }
 
     /// Iterates over per-hop flows, upstream to downstream.

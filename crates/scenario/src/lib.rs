@@ -34,6 +34,17 @@
 //! `stepstone-experiments`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 mod error;

@@ -63,11 +63,15 @@ pub fn preset_text(name: &str) -> Option<&'static str> {
 
 /// Parses every preset, in [`NAMES`] order.
 pub fn all() -> Vec<ScenarioSpec> {
-    NAMES
+    #[expect(
+        clippy::expect_used,
+        reason = "checked-in preset texts parse; pinned by the digest tests"
+    )]
+    let specs = NAMES
         .iter()
-        // lint: allow(no_panic) checked-in preset texts parse; pinned by the digest tests
         .map(|name| preset(name).expect("checked-in presets parse; pinned by tests"))
-        .collect()
+        .collect();
+    specs
 }
 
 #[cfg(test)]

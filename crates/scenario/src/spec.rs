@@ -429,7 +429,6 @@ impl ScenarioSpec {
     /// `canonical(parse(t))` is the canonical form of any valid text
     /// `t`.
     pub fn canonical(&self) -> String {
-        // lint: allow(bounded_ipc) fixed literal capacity, not a wire-derived length
         let mut out = String::with_capacity(512);
         let mut kv = |k: &str, v: String| {
             out.push_str(k);

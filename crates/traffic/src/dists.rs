@@ -224,9 +224,12 @@ impl Empirical {
                 "empirical CDF probabilities must be strictly increasing"
             );
         }
-        // lint: allow(no_panic) the constructor asserts at least two CDF points before this
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor asserts at least two CDF points before this"
+        )]
         let first = points.first().expect("length checked");
-        // lint: allow(no_panic) same length assertion covers last()
+        #[expect(clippy::expect_used, reason = "same length assertion covers last()")]
         let last = points.last().expect("length checked");
         assert!(
             (0.0..1.0).contains(&first.1),
@@ -255,8 +258,12 @@ impl Empirical {
                 return x0 + frac * (x1 - x0);
             }
         }
-        // lint: allow(no_panic) the constructor asserts a nonempty point list
-        self.points.last().expect("nonempty").0
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor asserts a nonempty point list"
+        )]
+        let last = self.points.last().expect("nonempty").0;
+        last
     }
 
     /// Draws one sample by inverse transform.

@@ -122,12 +122,15 @@ impl SessionGenerator {
         let mut in_burst = true;
         for i in 0..packets {
             let size = p.sizes[rng.gen_range(0..p.sizes.len())];
+            #[expect(
+                clippy::expect_used,
+                reason = "gaps sampled below are clamped non-negative, so timestamps never regress"
+            )]
             b.push(Packet::with_provenance(
                 t,
                 size,
                 Provenance::Payload(i as u32),
             ))
-            // lint: allow(no_panic) gaps sampled below are clamped non-negative, so timestamps never regress
             .expect("time only moves forward");
             // Decide the gap to the next packet.
             let gap_secs = if in_burst && rng.gen_bool(p.burst_continue) {

@@ -92,8 +92,11 @@ impl PoissonProcess {
     ) -> Flow {
         let mut b = FlowBuilder::new();
         for t in self.arrivals(start, span, rng) {
+            #[expect(
+                clippy::expect_used,
+                reason = "arrivals() accumulates positive gaps, so times are sorted"
+            )]
             b.push(Packet::chaff(t, Self::CHAFF_SIZE))
-                // lint: allow(no_panic) arrivals() accumulates positive gaps, so times are sorted
                 .expect("arrivals are generated in order");
         }
         b.finish()

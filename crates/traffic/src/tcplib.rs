@@ -98,12 +98,15 @@ impl TelnetModel {
         let mut t = start;
         for i in 0..packets {
             let size = self.pktsize.sample(rng).round().max(1.0) as u32;
+            #[expect(
+                clippy::expect_used,
+                reason = "interarrival samples are clamped to a positive floor, so t is monotone"
+            )]
             b.push(Packet::with_provenance(
                 t,
                 size,
                 Provenance::Payload(i as u32),
             ))
-            // lint: allow(no_panic) interarrival samples are clamped to a positive floor, so t is monotone
             .expect("time only moves forward");
             t += TimeDelta::from_secs_f64(self.interarrival.sample(rng).max(0.001));
         }

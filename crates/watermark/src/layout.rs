@@ -229,13 +229,18 @@ impl BitLayout {
 
     /// The largest upstream index any pair touches.
     pub fn max_index(&self) -> usize {
-        self.pairs_per_bit
+        #[expect(
+            clippy::expect_used,
+            reason = "layout derivation rejects zero-bit watermarks, so pairs exist"
+        )]
+        let max = self
+            .pairs_per_bit
             .iter()
             .flatten()
             .map(|p| p.second.max(p.first))
             .max()
-            // lint: allow(no_panic) layout derivation rejects zero-bit watermarks, so pairs exist
-            .expect("layouts are never empty")
+            .expect("layouts are never empty");
+        max
     }
 
     /// The flow length this layout was derived for.

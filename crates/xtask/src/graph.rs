@@ -1,4 +1,4 @@
-//! Workspace symbol graph for the cross-file analyze rules.
+//! Workspace symbol graph for the cross-file lint rules.
 //!
 //! Consumes per-file [`crate::parse::FileFacts`] and builds
 //! a call graph with conservative name resolution, then closes lock
@@ -7,7 +7,7 @@
 //! exactly one workspace function produces no edge. That keeps the
 //! lock-order rule free of edges that do not exist, at the cost of
 //! missing edges through trait objects and closures (documented in
-//! DESIGN.md §"Cross-file analysis").
+//! DESIGN.md §"Static analysis & invariants").
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -314,12 +314,7 @@ pub fn lock_cycles(edges: &[LockEdge]) -> Vec<Vec<LockEdge>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use crate::workspace::classify;
-
-    fn facts(path: &str, src: &str) -> FileFacts {
-        parse_file(&classify(path), src)
-    }
+    use crate::parse::tests::facts;
 
     #[test]
     fn resolves_cross_file_calls_and_closes_acquisitions() {

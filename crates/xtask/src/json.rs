@@ -1,24 +1,15 @@
-//! A minimal JSON value: parser and writer.
+//! A minimal JSON writer for the SARIF report.
 //!
-//! The analyze pass persists two machine-readable artifacts — the
-//! incremental fact cache (`target/xtask-analyze.cache`) and the
-//! checked-in finding baseline (`analyze-baseline.json`) — and must
-//! read them back. The build environment has no registry access, so
-//! instead of `serde_json` this is a small hand-rolled recursive
-//! descent parser over exactly the JSON this crate itself emits
-//! (objects, arrays, strings, integers, booleans, null). Unknown or
-//! malformed input returns `None`; callers treat that as "no cache" /
-//! "no baseline" and regenerate.
+//! The build environment has no registry access, so instead of
+//! `serde_json` this is a small value model that renders exactly the
+//! JSON the SARIF output needs (objects, arrays, strings, integers).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One JSON value. Numbers are kept as `i64` — every number this
-/// crate persists (lines, hashes as decimal strings excepted) fits.
+/// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    Null,
-    Bool(bool),
     Num(i64),
     Str(String),
     Arr(Vec<Value>),
@@ -26,43 +17,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an integer, if it is one.
-    pub fn as_num(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The value as an object map, if it is one.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(map) => Some(map),
-            _ => None,
-        }
-    }
-
-    /// Member lookup on an object; `None` elsewhere.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_obj().and_then(|m| m.get(key))
-    }
-
     /// Serializes the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -72,12 +26,10 @@ impl Value {
 
     fn write(&self, out: &mut String) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 let _ = write!(out, "{n}");
             }
-            Value::Str(s) => out.push_str(&quote(s)),
+            Value::Str(s) => quote(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -94,7 +46,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&quote(k));
+                    quote(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -109,14 +61,9 @@ pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Builds an array-of-strings value.
-pub fn str_arr(items: &[String]) -> Value {
-    Value::Arr(items.iter().map(|s| Value::Str(s.clone())).collect())
-}
-
-/// JSON string escaping (RFC 8259: quote, backslash, control chars).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Writes `s` as a JSON string (RFC 8259 escaping: quote, backslash,
+/// control chars).
+fn quote(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -132,173 +79,6 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Parses one JSON document. `None` on any syntax error or trailing
-/// garbage.
-pub fn parse(src: &str) -> Option<Value> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut p = Parser { chars, at: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.at == p.chars.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-struct Parser {
-    chars: Vec<char>,
-    at: usize,
-}
-
-impl Parser {
-    fn skip_ws(&mut self) {
-        while self
-            .chars
-            .get(self.at)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        if self.chars.get(self.at) == Some(&c) {
-            self.at += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.get(self.at).copied()
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        match self.peek()? {
-            '{' => self.object(),
-            '[' => self.array(),
-            '"' => self.string().map(Value::Str),
-            't' => self.keyword("true", Value::Bool(true)),
-            'f' => self.keyword("false", Value::Bool(false)),
-            'n' => self.keyword("null", Value::Null),
-            '-' | '0'..='9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Value) -> Option<Value> {
-        self.skip_ws();
-        for expected in word.chars() {
-            if self.chars.get(self.at) != Some(&expected) {
-                return None;
-            }
-            self.at += 1;
-        }
-        Some(v)
-    }
-
-    fn number(&mut self) -> Option<Value> {
-        self.skip_ws();
-        let start = self.at;
-        if self.chars.get(self.at) == Some(&'-') {
-            self.at += 1;
-        }
-        while self.chars.get(self.at).is_some_and(|c| c.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return None;
-        }
-        let text: String = self.chars[start..self.at].iter().collect();
-        text.parse().ok().map(Value::Num)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.chars.get(self.at)?;
-            self.at += 1;
-            match c {
-                '"' => return Some(out),
-                '\\' => {
-                    let esc = *self.chars.get(self.at)?;
-                    self.at += 1;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = *self.chars.get(self.at)?;
-                                self.at += 1;
-                                code = code * 16 + d.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Value> {
-        self.eat('[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(']') {
-            self.at += 1;
-            return Some(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                ',' => self.at += 1,
-                ']' => {
-                    self.at += 1;
-                    return Some(Value::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn object(&mut self) -> Option<Value> {
-        self.eat('{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some('}') {
-            self.at += 1;
-            return Some(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                ',' => self.at += 1,
-                '}' => {
-                    self.at += 1;
-                    return Some(Value::Obj(map));
-                }
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -306,39 +86,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_documents() {
+    fn renders_nested_documents_with_escapes() {
         let doc = obj(vec![
-            ("schema", Value::Num(1)),
-            ("items", str_arr(&["a\"b".to_string(), "c\\d".to_string()])),
+            ("schema", Value::Num(-7)),
             (
-                "inner",
-                obj(vec![("n", Value::Num(-7)), ("flag", Value::Bool(true))]),
+                "items",
+                Value::Arr(vec![Value::Str("a\"b\\c\n\u{1}".to_string())]),
             ),
-            ("nothing", Value::Null),
+            ("inner", obj(vec![])),
         ]);
-        let text = doc.render();
-        assert_eq!(parse(&text), Some(doc));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "{\"a\": }", "tru", "1 2", "\"\\x\""] {
-            assert_eq!(parse(bad), None, "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let v = parse(r#"{"s": "a\n\t\u0041\"", "n": -12}"#).expect("parses");
-        assert_eq!(v.get("s").and_then(Value::as_str), Some("a\n\tA\""));
-        assert_eq!(v.get("n").and_then(Value::as_num), Some(-12));
-    }
-
-    #[test]
-    fn accessors_are_type_safe() {
-        let v = parse(r#"{"a": [1, "x"]}"#).expect("parses");
-        assert!(v.get("a").and_then(Value::as_arr).is_some());
-        assert!(v.get("a").and_then(Value::as_num).is_none());
-        assert!(v.get("missing").is_none());
+        assert_eq!(
+            doc.render(),
+            r#"{"inner":{},"items":["a\"b\\c\n\u0001"],"schema":-7}"#
+        );
     }
 }

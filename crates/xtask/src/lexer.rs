@@ -365,9 +365,9 @@ mod tests {
 
     #[test]
     fn records_comments_with_lines() {
-        let src = "let x = 1; // lint: allow(no_panic) reasons\n";
+        let src = "let x = 1; // lint: allow(unit_flow) reasons\n";
         let lexed = lex(src);
-        assert!(lexed.comment_on_line_contains(1, "lint: allow(no_panic)"));
+        assert!(lexed.comment_on_line_contains(1, "lint: allow(unit_flow)"));
         assert!(!lexed.comment_on_line_contains(2, "lint: allow"));
     }
 

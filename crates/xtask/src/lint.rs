@@ -1,37 +1,58 @@
-//! Token-level lint rules enforcing the workspace invariants.
+//! The workspace's one static-analysis pass: `cargo xtask lint`.
 //!
-//! Seven rules, each with a machine-readable id (stable — CI and the
-//! allowlist mechanism key on them):
+//! Nine rules, each with a machine-readable id (stable — CI, SARIF and
+//! the waiver mechanism key on them). The first six check one file at a
+//! time, over every Rust source file in the workspace. The last three
+//! parse the `src/` trees of the long-running crates
+//! ([`cross::ANALYZED_CRATES`]) into a workspace symbol graph and check
+//! properties that span files (see [`cross`]).
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | `no_panic` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | `micros_math` | no raw integer arithmetic on microsecond values outside `flow::time` |
 //! | `ordering_comment` | every atomic `Ordering::*` use carries an `// ordering:` justification |
 //! | `bounded_queue` | no unbounded channels in `monitor`; `#[bounded]`-tagged queues grow only through their choke-point method |
 //! | `heartbeat_touch` | every `loop` in a `monitor` worker function refreshes the shard heartbeat at the top of each iteration |
-//! | `forbid_unsafe` | every crate root declares `#![forbid(unsafe_code)]` |
-//! | `bounded_ipc` | boundary-input code (`cluster` IPC, the `scenario` DSL, the `experiments` serve layer) never allocates or reads unboundedly from outside input: no unbounded channels, no `read_to_end`-style reads, every `with_capacity` carries a `.min(..)`/`MAX_*` cap witness |
+//! | `crate_header` | every crate root declares an unconditional `#![forbid(unsafe_code)]`, and every library root also carries the no-panic clippy header |
+//! | `bounded_ipc` | boundary-input code (`cluster` IPC, the `scenario` DSL, the `experiments` serve layer) never allocates or reads unboundedly from outside input: no unbounded channels, no `read_to_end`-style reads, every `with_capacity` argument is a `.min(..)` clamp, a `MAX_*` constant or an integer literal |
+//! | `lock_order` | the workspace lock acquisition-order graph is acyclic, and no lock guard is held across a blocking call (`recv`, `sleep`, `wait`, frame reads) |
+//! | `unit_flow` | no arithmetic or comparison mixes time units (µs/ns/ms/s as declared by binding names), and no `from_*`/`as_*` conversion is fed an operand of a different unit |
+//! | `counter_pairing` | every counter family declared with `// conserve(<family>): <members>` has all members mutated in the declaring crate and rendered on `/metrics`; every registered ledger-suffixed counter belongs to a declared family |
+//!
+//! Checks that rustc or clippy make with real name resolution are not
+//! rules here. The no-panic family is `clippy::{unwrap_used,
+//! expect_used, panic, todo, unimplemented}`, denied outside tests by
+//! the header that `crate_header` requires of every library root. IPC
+//! dispatch exhaustiveness is rustc's match check plus
+//! `#[deny(clippy::wildcard_enum_match_arm)]` on the two cluster
+//! dispatch matches.
 //!
 //! A finding on line `L` is suppressed by a comment on `L` or `L-1` of
 //! the form `// lint: allow(<rule>) <reason>` — the reason is
 //! mandatory; an empty reason keeps the finding. DESIGN.md §"Static
 //! analysis & invariants" documents each rule's rationale.
 
-use crate::lexer::{Lexed, Tok, TokKind};
+use std::path::Path;
 
-/// The stable ids of every lint rule, in report order.
-pub const RULES: [&str; 7] = [
-    "no_panic",
+use crate::cross;
+use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::parse::parse_file;
+use crate::workspace;
+
+/// The stable ids of every rule, in report order.
+pub const RULES: [&str; 9] = [
     "micros_math",
     "ordering_comment",
     "bounded_queue",
     "heartbeat_touch",
-    "forbid_unsafe",
+    "crate_header",
     "bounded_ipc",
+    "lock_order",
+    "unit_flow",
+    "counter_pairing",
 ];
 
-/// One lint violation.
+/// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id (one of [`RULES`]).
@@ -44,7 +65,7 @@ pub struct Finding {
     pub message: String,
 }
 
-/// How a file participates in the lint pass, derived from its path.
+/// How a file participates in the pass, derived from its path.
 #[derive(Debug, Clone)]
 pub struct FileClass {
     /// Workspace-relative path with `/` separators.
@@ -53,20 +74,59 @@ pub struct FileClass {
     /// for the facade crate.
     pub crate_dir: String,
     /// `true` for code reachable from the crate's library target
-    /// (under `src/`, not `main.rs`/`src/bin`); panics and raw µs math
-    /// are only forbidden here.
+    /// (under `src/`, not `main.rs`/`src/bin`); raw µs math is only
+    /// forbidden here, and a library root must carry the no-panic
+    /// header.
     pub is_library: bool,
-    /// `true` for `src/lib.rs` / `src/main.rs` — the files that must
-    /// carry `#![forbid(unsafe_code)]`.
+    /// `true` for `src/lib.rs` / `src/main.rs` / `src/bin/*` — the
+    /// files `crate_header` audits.
     pub is_crate_root: bool,
 }
 
-/// Runs every applicable rule over one file. The driver binary lexes
-/// once and calls [`run_rule`] per rule instead (for timing); this
-/// wrapper keeps the unit tests' entry point.
+/// The outcome of one pass.
+pub struct Pass {
+    /// Every finding, sorted by path/line/rule.
+    pub findings: Vec<Finding>,
+    /// Rust source files scanned.
+    pub files: usize,
+}
+
+/// Runs `rules` over the workspace at `root`: the per-file rules over
+/// every file, the cross-file rules over the analyzed crates.
+pub fn run(root: &Path, rules: &[&'static str]) -> Result<Pass, String> {
+    let files = workspace::workspace_files(root)
+        .map_err(|err| format!("failed to walk {}: {err}", root.display()))?;
+    let mut findings = Vec::new();
+    let mut facts = Vec::new();
+    for (class, path) in &files {
+        let src = std::fs::read_to_string(path)
+            .map_err(|err| format!("failed to read {}: {err}", path.display()))?;
+        let lexed = lex(&src);
+        let mask = test_region_mask(&lexed.toks);
+        for rule in rules {
+            run_rule(rule, class, &lexed, &mask, &mut findings);
+        }
+        if cross::in_scope(class) {
+            facts.push(parse_file(class, &lexed, &mask));
+        }
+    }
+    for rule in rules {
+        findings.append(&mut cross::run_rule(rule, &facts));
+    }
+    findings
+        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    findings.dedup();
+    Ok(Pass {
+        findings,
+        files: files.len(),
+    })
+}
+
+/// Runs every per-file rule over one source text (unit-test entry
+/// point).
 #[cfg(test)]
 pub fn lint_file(class: &FileClass, src: &str) -> Vec<Finding> {
-    let lexed = crate::lexer::lex(src);
+    let lexed = lex(src);
     let test_mask = test_region_mask(&lexed.toks);
     let mut findings = Vec::new();
     for rule in RULES {
@@ -77,11 +137,9 @@ pub fn lint_file(class: &FileClass, src: &str) -> Vec<Finding> {
     findings
 }
 
-/// Runs one rule (by id) over a pre-lexed file, applying the same
-/// file-class gating as the test-only `lint_file`. Lets the xtask
-/// binary lex each file once and time rules individually. Unknown ids
-/// are a no-op.
-pub fn run_rule(
+/// Runs one per-file rule (by id) over a pre-lexed file, if the file's
+/// class puts it in the rule's scope. Cross-file ids are a no-op here.
+fn run_rule(
     rule: &str,
     class: &FileClass,
     lexed: &Lexed,
@@ -89,7 +147,6 @@ pub fn run_rule(
     findings: &mut Vec<Finding>,
 ) {
     match rule {
-        "no_panic" if class.is_library => rule_no_panic(class, lexed, test_mask, findings),
         "micros_math" if class.is_library && class.rel_path != "crates/flow/src/time.rs" => {
             rule_micros_math(class, lexed, test_mask, findings)
         }
@@ -103,7 +160,7 @@ pub fn run_rule(
         "bounded_ipc" if bounded_ipc_scope(class) => {
             rule_bounded_ipc(class, lexed, test_mask, findings)
         }
-        "forbid_unsafe" if class.is_crate_root => rule_forbid_unsafe(class, lexed, findings),
+        "crate_header" if class.is_crate_root => rule_crate_header(class, lexed, findings),
         _ => {}
     }
 }
@@ -120,9 +177,9 @@ fn bounded_ipc_scope(class: &FileClass) -> bool {
 
 /// `true` when a `// lint: allow(<rule>) <reason>` comment with a
 /// non-empty reason covers `line` (same line or the line above).
-fn allowed(lexed: &Lexed, rule: &str, line: usize) -> bool {
+pub(crate) fn allowed(comments: &[(usize, String)], rule: &str, line: usize) -> bool {
     let marker = format!("lint: allow({rule})");
-    lexed.comments.iter().any(|(l, text)| {
+    comments.iter().any(|(l, text)| {
         (*l == line || *l + 1 == line)
             && text
                 .find(&marker)
@@ -139,7 +196,7 @@ fn push(
     line: usize,
     message: String,
 ) {
-    if !allowed(lexed, rule, line) {
+    if !allowed(&lexed.comments, rule, line) {
         findings.push(Finding {
             rule,
             path: class.rel_path.clone(),
@@ -229,44 +286,6 @@ pub(crate) fn item_end(toks: &[Tok], mut from: usize) -> Option<usize> {
         j += 1;
     }
     None
-}
-
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-fn rule_no_panic(class: &FileClass, lexed: &Lexed, mask: &[bool], findings: &mut Vec<Finding>) {
-    let toks = &lexed.toks;
-    for i in 0..toks.len() {
-        if mask[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        let is_method = PANIC_METHODS.contains(&name)
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('(');
-        let is_macro =
-            PANIC_MACROS.contains(&name) && i + 1 < toks.len() && toks[i + 1].is_punct('!');
-        if is_method || is_macro {
-            let call = if is_macro {
-                format!("{name}!")
-            } else {
-                format!(".{name}()")
-            };
-            push(
-                findings,
-                lexed,
-                "no_panic",
-                class,
-                toks[i].line,
-                format!(
-                    "`{call}` in non-test library code; return a Result/Option or \
-                     justify with `// lint: allow(no_panic) <reason>`"
-                ),
-            );
-        }
-    }
 }
 
 const ARITH: [char; 5] = ['+', '-', '*', '/', '%'];
@@ -635,8 +654,8 @@ fn rule_bounded_queue(
 /// coordinator loop lets a reader thread buffer without limit),
 /// `read_to_end`/`read_to_string` (a stuck peer pins memory until the
 /// pipe closes, which may be never), and `with_capacity` calls whose
-/// size expression shows no `.min(..)` or `MAX_*` cap witness (a forged
-/// length prefix must not size an allocation).
+/// argument is not visibly bounded (a forged length prefix must not
+/// size an allocation; see [`cap_witnessed`]).
 fn rule_bounded_ipc(class: &FileClass, lexed: &Lexed, mask: &[bool], findings: &mut Vec<Finding>) {
     let toks = &lexed.toks;
     for i in 0..toks.len() {
@@ -681,19 +700,17 @@ fn rule_bounded_ipc(class: &FileClass, lexed: &Lexed, mask: &[bool], findings: &
         }
         if name == "with_capacity" && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true) {
             let close = match_forward(toks, i + 1, '(', ')');
-            let witnessed = toks[i + 2..close.min(toks.len())].iter().any(|t| {
-                t.is_ident("min") || (t.kind == TokKind::Ident && t.text.contains("MAX_"))
-            });
-            if !witnessed {
+            if !cap_witnessed(&toks[i + 2..close.max(i + 2)]) {
                 push(
                     findings,
                     lexed,
                     "bounded_ipc",
                     class,
                     toks[i].line,
-                    "`with_capacity` sized without a `.min(..)`/`MAX_*` cap witness; a \
-                     wire-derived length must be clamped before it sizes an allocation, \
-                     or justify with `// lint: allow(bounded_ipc) <reason>`"
+                    "`with_capacity` argument is not a `.min(..)` clamp, a `MAX_*` \
+                     constant or an integer literal; a wire-derived length must be \
+                     clamped before it sizes an allocation, or justify with \
+                     `// lint: allow(bounded_ipc) <reason>`"
                         .to_string(),
                 );
             }
@@ -765,116 +782,183 @@ fn rule_heartbeat_touch(
     }
 }
 
-fn rule_forbid_unsafe(class: &FileClass, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    let toks = &lexed.toks;
-    let present = (0..toks.len()).any(|i| {
-        toks[i].is_ident("forbid")
-            && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true)
-            && toks.get(i + 2).map(|t| t.is_ident("unsafe_code")) == Some(true)
+/// `true` when a `with_capacity` argument is visibly bounded. Only
+/// three forms count, each after an optional trailing `as T` cast: an
+/// outermost `.min(..)` call (`len.min(MAX)`, `(n as usize).min(8)`),
+/// a lone `MAX_*` constant (path-qualified or not), and an integer
+/// literal. A clamp or constant anywhere else (`len + MAX_HEADER`,
+/// `MAX_N * len`, `(len.min(8) + extra)`) bounds nothing.
+fn cap_witnessed(arg: &[Tok]) -> bool {
+    let arg = match arg {
+        [rest @ .., as_kw, ty] if as_kw.is_ident("as") && ty.kind == TokKind::Ident => rest,
+        _ => arg,
+    };
+    match arg {
+        [lit] if lit.kind == TokKind::Lit => lit.text.starts_with(|c: char| c.is_ascii_digit()),
+        [.., last] if last.kind == TokKind::Ident => {
+            last.text.starts_with("MAX_")
+                && arg.iter().enumerate().all(|(k, t)| {
+                    t.kind == TokKind::Ident && k % 3 == 0 || t.is_punct(':') && k % 3 != 0
+                })
+        }
+        [.., last] if last.is_punct(')') => {
+            let open = match_backward(arg, arg.len() - 1, '(', ')');
+            // `<receiver> . min ( .. )` with no operator outside the
+            // receiver's own brackets.
+            open >= 3
+                && arg[open - 1].is_ident("min")
+                && arg[open - 2].is_punct('.')
+                && top_level(&arg[..open - 2]).all(|t| {
+                    t.kind == TokKind::Ident && !t.is_ident("as")
+                        || t.kind == TokKind::Lit
+                        || t.is_punct('.')
+                        || t.is_punct(':')
+                })
+        }
+        _ => false,
+    }
+}
+
+/// The tokens of `toks` outside every `()`/`[]`/`{}` group.
+fn top_level(toks: &[Tok]) -> impl Iterator<Item = &Tok> {
+    let mut depth = 0usize;
+    toks.iter().filter(move |t| {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth = depth.saturating_sub(1);
+        } else {
+            return depth == 0;
+        }
+        false
+    })
+}
+
+/// The no-panic lints every library root denies outside tests.
+const NO_PANIC_LINTS: [&str; 6] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+    "allow_attributes_without_reason",
+];
+
+/// rustc enforces `#![forbid(unsafe_code)]` and clippy the no-panic
+/// lints, but neither notices a crate that never declares them. Every
+/// crate root must carry an unconditional crate-level
+/// `#![forbid(unsafe_code)]` (a `cfg_attr`-wrapped one, an outer
+/// `#[forbid(..)]` on a module or an inner one in an inline module
+/// leaves the crate uncovered), and every library root must also carry
+/// `#![cfg_attr(not(test), deny(clippy::..))]` naming every lint in
+/// [`NO_PANIC_LINTS`].
+fn rule_crate_header(class: &FileClass, lexed: &Lexed, findings: &mut Vec<Finding>) {
+    let attrs = crate_attributes(&lexed.toks);
+    let forbids_unsafe = attrs.iter().any(|a| {
+        a.len() == 4
+            && a[0].is_ident("forbid")
+            && a[2].is_ident("unsafe_code")
+            && a[3].is_punct(')')
     });
-    if !present {
+    if !forbids_unsafe {
         push(
             findings,
             lexed,
-            "forbid_unsafe",
+            "crate_header",
             class,
             1,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+            "crate root is missing an unconditional `#![forbid(unsafe_code)]`".to_string(),
         );
     }
+    const NOT_TEST_DENY: [&str; 9] = ["cfg_attr", "(", "not", "(", "test", ")", ",", "deny", "("];
+    let denies_panics = attrs.iter().any(|a| {
+        a.len() > NOT_TEST_DENY.len()
+            && a.iter().zip(NOT_TEST_DENY).all(|(t, want)| t.text == want)
+            && NO_PANIC_LINTS.iter().all(|lint| {
+                a.windows(4)
+                    .any(|w| w[0].is_ident("clippy") && w[3].is_ident(lint))
+            })
+    });
+    if class.is_library && !denies_panics {
+        push(
+            findings,
+            lexed,
+            "crate_header",
+            class,
+            1,
+            format!(
+                "library root is missing the no-panic header \
+                 `#![cfg_attr(not(test), deny(clippy::{}))]`",
+                NO_PANIC_LINTS.join(", clippy::")
+            ),
+        );
+    }
+}
+
+/// The token contents of every crate-level inner attribute: `X` in each
+/// `#![X]` outside any brace block.
+fn crate_attributes(toks: &[Tok]) -> Vec<&[Tok]> {
+    let mut attrs = Vec::new();
+    let mut depth = 0usize;
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0
+            && t.is_punct('#')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
+            && toks.get(i + 2).is_some_and(|n| n.is_punct('['))
+        {
+            let close = match_forward(toks, i + 2, '[', ']');
+            attrs.push(&toks[i + 3..close.max(i + 3)]);
+            i = close;
+        }
+        i += 1;
+    }
+    attrs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::classify;
 
+    /// A library file that is not a crate root.
     fn lib_class() -> FileClass {
-        FileClass {
-            rel_path: "crates/demo/src/lib.rs".to_string(),
-            crate_dir: "demo".to_string(),
-            is_library: true,
-            is_crate_root: true,
-        }
+        classify("crates/demo/src/x.rs")
     }
 
     fn monitor_class() -> FileClass {
-        FileClass {
-            rel_path: "crates/monitor/src/engine.rs".to_string(),
-            crate_dir: "monitor".to_string(),
-            is_library: true,
-            is_crate_root: false,
-        }
+        classify("crates/monitor/src/engine.rs")
+    }
+
+    fn cluster_class() -> FileClass {
+        classify("crates/cluster/src/wire.rs")
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    #[test]
-    fn no_panic_flags_unwrap_expect_and_macros() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   pub fn g(x: Option<u8>) -> u8 { x.expect(\"msg\") }\n\
-                   pub fn h() { panic!(\"boom\") }\n\
-                   pub fn t() { todo!() }\n";
-        let findings = lint_file(&lib_class(), src);
-        assert_eq!(rules_of(&findings), vec!["no_panic"; 4]);
-        assert_eq!(findings[0].line, 2);
-    }
-
-    #[test]
-    fn no_panic_respects_allow_and_tests() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   // lint: allow(no_panic) capacity checked two lines up\n\
-                   pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { Some(1).unwrap(); panic!(\"fine in tests\"); }\n\
-                   }\n";
-        assert!(lint_file(&lib_class(), src).is_empty());
-    }
-
-    #[test]
-    fn no_panic_requires_a_reason() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // lint: allow(no_panic)\n";
-        assert_eq!(rules_of(&lint_file(&lib_class(), src)), vec!["no_panic"]);
-    }
-
-    #[test]
-    fn no_panic_ignores_unwrap_or_variants() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n\
-                   pub fn g(x: Option<u8>) -> u8 { x.unwrap_or_else(|| 0) }\n";
-        assert!(lint_file(&lib_class(), src).is_empty());
-    }
-
-    #[test]
-    fn cfg_not_test_is_still_linted() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   #[cfg(not(test))]\n\
-                   pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert_eq!(rules_of(&lint_file(&lib_class(), src)), vec!["no_panic"]);
-    }
+    const HEADER: &str = "#![forbid(unsafe_code)]\n\
+        #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+        clippy::todo, clippy::unimplemented, clippy::allow_attributes_without_reason))]\n";
 
     #[test]
     fn micros_math_flags_raw_arithmetic() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(a: TimeDelta, step: i64) -> i64 { a.as_micros() * step / 12 }\n\
+        let src = "pub fn f(a: TimeDelta, step: i64) -> i64 { a.as_micros() * step / 12 }\n\
                    pub fn g(a: TimeDelta, b: TimeDelta) -> i64 { a.as_micros() + b.as_micros() }\n\
                    pub fn h(x: i64) -> TimeDelta { TimeDelta::from_micros(x * 1000) }\n";
         let findings = lint_file(&lib_class(), src);
-        assert_eq!(
-            findings.iter().filter(|f| f.rule == "micros_math").count(),
-            3
-        );
+        assert_eq!(rules_of(&findings), vec!["micros_math"; 3]);
     }
 
     #[test]
     fn micros_math_allows_plain_reads_and_negative_literals() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(a: TimeDelta) -> i64 { a.as_micros() }\n\
+        let src = "pub fn f(a: TimeDelta) -> i64 { a.as_micros() }\n\
                    pub fn g() -> TimeDelta { TimeDelta::from_micros(-7_000) }\n\
                    pub fn h(a: TimeDelta) -> f64 { a.as_micros() as f64 }\n\
                    pub fn k(r: &mut Rng, j: TimeDelta) -> i64 { r.gen_range(0..=j.as_micros()) }\n";
@@ -883,28 +967,43 @@ mod tests {
 
     #[test]
     fn micros_math_sees_operand_before_a_chain() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(c: i64, s: &Flow, i: usize) -> i64 { c * s.timestamp(i).as_micros() }\n";
+        let src =
+            "pub fn f(c: i64, s: &Flow, i: usize) -> i64 { c * s.timestamp(i).as_micros() }\n";
         assert_eq!(rules_of(&lint_file(&lib_class(), src)), vec!["micros_math"]);
     }
 
     #[test]
+    fn waivers_need_a_reason_and_tests_are_masked() {
+        let src = "// lint: allow(micros_math) wire format stores raw µs\n\
+                   pub fn f(a: TimeDelta) -> i64 { a.as_micros() * 2 }\n\
+                   pub fn g(a: TimeDelta) -> i64 { a.as_micros() * 2 } // lint: allow(micros_math)\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       #[test]\n\
+                       fn t() { let _ = d.as_micros() * 2; }\n\
+                   }\n\
+                   #[cfg(not(test))]\n\
+                   pub fn h(a: TimeDelta) -> i64 { a.as_micros() * 2 }\n";
+        let findings = lint_file(&lib_class(), src);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 10], "{findings:?}");
+    }
+
+    #[test]
     fn ordering_requires_justification() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n\
+        let src = "pub fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n\
                    // ordering: independent counter, no other memory is published\n\
                    pub fn g(a: &AtomicU64) -> u64 { a.load(Ordering::Acquire) }\n\
                    pub fn h(a: &AtomicU64) { a.store(1, Ordering::SeqCst); // ordering: total order needed\n\
                    }\n";
         let findings = lint_file(&lib_class(), src);
         assert_eq!(rules_of(&findings), vec!["ordering_comment"]);
-        assert_eq!(findings[0].line, 2);
+        assert_eq!(findings[0].line, 1);
     }
 
     #[test]
     fn cmp_ordering_is_exempt() {
-        let src = "#![forbid(unsafe_code)]\n\
-                   pub fn f(a: u8, b: u8) -> Ordering { if a < b { Ordering::Less } else { Ordering::Greater } }\n";
+        let src = "pub fn f(a: u8, b: u8) -> Ordering { if a < b { Ordering::Less } else { Ordering::Greater } }\n";
         assert!(lint_file(&lib_class(), src).is_empty());
     }
 
@@ -943,25 +1042,7 @@ mod tests {
     #[test]
     fn bounded_queue_only_applies_to_monitor() {
         let src = "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }\n";
-        assert!(lint_file(
-            &FileClass {
-                rel_path: "crates/flow/src/x.rs".to_string(),
-                crate_dir: "flow".to_string(),
-                is_library: true,
-                is_crate_root: false,
-            },
-            src
-        )
-        .is_empty());
-    }
-
-    fn cluster_class() -> FileClass {
-        FileClass {
-            rel_path: "crates/cluster/src/wire.rs".to_string(),
-            crate_dir: "cluster".to_string(),
-            is_library: true,
-            is_crate_root: false,
-        }
+        assert!(lint_file(&classify("crates/flow/src/x.rs"), src).is_empty());
     }
 
     #[test]
@@ -974,13 +1055,39 @@ mod tests {
     }
 
     #[test]
-    fn bounded_ipc_requires_a_cap_witness_on_with_capacity() {
-        let src = "fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n\
-                   fn g(len: u32) -> Vec<u8> { Vec::with_capacity((len as usize).min(1024)) }\n\
-                   fn h(len: u32) -> Vec<u8> { Vec::with_capacity(len.min(MAX_FRAME) as usize) }\n";
-        let findings = lint_file(&cluster_class(), src);
-        assert_eq!(rules_of(&findings), vec!["bounded_ipc"]);
-        assert_eq!(findings[0].line, 1);
+    fn bounded_ipc_accepts_only_clamps_constants_and_literals() {
+        let flagged = [
+            "len as usize",
+            "len as usize + MAX_HEADER",
+            "MAX_N * len",
+            "(len.min(8) + extra)",
+            "len + extra.min(8)",
+            "*len.min(8)",
+        ];
+        let accepted = [
+            "count.min(max)",
+            "(len as usize).min(1024)",
+            "len.min(MAX_FRAME) as usize",
+            "MAX_FRAME",
+            "Self::MAX_ITEMS as usize",
+            "512",
+        ];
+        for arg in flagged {
+            let src = format!("fn f(len: u32) -> Vec<u8> {{ Vec::with_capacity({arg}) }}\n");
+            let findings = lint_file(&cluster_class(), &src);
+            assert_eq!(
+                rules_of(&findings),
+                vec!["bounded_ipc"],
+                "{arg} must be flagged"
+            );
+        }
+        for arg in accepted {
+            let src = format!("fn f(len: u32) -> Vec<u8> {{ Vec::with_capacity({arg}) }}\n");
+            assert!(
+                lint_file(&cluster_class(), &src).is_empty(),
+                "{arg} must pass"
+            );
+        }
     }
 
     #[test]
@@ -995,32 +1102,20 @@ mod tests {
     #[test]
     fn bounded_ipc_covers_scenario_and_serve_sources() {
         let src = "fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n";
-        for (rel_path, crate_dir) in [
-            ("crates/scenario/src/spec.rs", "scenario"),
-            ("crates/experiments/src/serve/mod.rs", "experiments"),
-            ("crates/experiments/src/serve/snapshot.rs", "experiments"),
+        for rel_path in [
+            "crates/scenario/src/spec.rs",
+            "crates/experiments/src/serve/mod.rs",
+            "crates/experiments/src/serve/snapshot.rs",
         ] {
-            let class = FileClass {
-                rel_path: rel_path.to_string(),
-                crate_dir: crate_dir.to_string(),
-                is_library: true,
-                is_crate_root: false,
-            };
             assert_eq!(
-                rules_of(&lint_file(&class, src)),
+                rules_of(&lint_file(&classify(rel_path), src)),
                 vec!["bounded_ipc"],
                 "{rel_path} must be in scope"
             );
         }
         // The rest of `experiments` (one-shot CLI paths reading local
         // files the operator named) stays out of scope.
-        let class = FileClass {
-            rel_path: "crates/experiments/src/matrix.rs".to_string(),
-            crate_dir: "experiments".to_string(),
-            is_library: true,
-            is_crate_root: false,
-        };
-        assert!(lint_file(&class, src).is_empty());
+        assert!(lint_file(&classify("crates/experiments/src/matrix.rs"), src).is_empty());
     }
 
     #[test]
@@ -1063,46 +1158,43 @@ mod tests {
     #[test]
     fn heartbeat_touch_only_applies_to_monitor() {
         let src = "fn worker_loop(ctx: &Ctx) { loop { ctx.step(); } }\n";
-        assert!(lint_file(
-            &FileClass {
-                rel_path: "crates/flow/src/x.rs".to_string(),
-                crate_dir: "flow".to_string(),
-                is_library: true,
-                is_crate_root: false,
-            },
-            src
-        )
-        .is_empty());
+        assert!(lint_file(&classify("crates/flow/src/x.rs"), src).is_empty());
     }
 
     #[test]
-    fn forbid_unsafe_missing_is_flagged() {
-        let src = "pub fn f() {}\n";
-        let findings = lint_file(
-            &FileClass {
-                rel_path: "crates/demo/src/lib.rs".to_string(),
-                crate_dir: "demo".to_string(),
-                is_library: false,
-                is_crate_root: true,
-            },
-            src,
-        );
-        assert_eq!(rules_of(&findings), vec!["forbid_unsafe"]);
-        assert_eq!(findings[0].line, 1);
+    fn crate_header_accepts_the_full_header() {
+        let lib = classify("crates/demo/src/lib.rs");
+        assert!(lint_file(&lib, &format!("//! Docs.\n{HEADER}pub fn f() {{}}\n")).is_empty());
+        let bin = classify("crates/demo/src/main.rs");
+        assert!(lint_file(&bin, "#![forbid(unsafe_code)]\nfn main() {}\n").is_empty());
     }
 
     #[test]
-    fn non_library_files_skip_panic_rules() {
-        let src = "fn main() { std::env::args().next().unwrap(); }\n";
-        let findings = lint_file(
-            &FileClass {
-                rel_path: "crates/demo/src/main.rs".to_string(),
-                crate_dir: "demo".to_string(),
-                is_library: false,
-                is_crate_root: true,
-            },
-            src,
-        );
-        assert_eq!(rules_of(&findings), vec!["forbid_unsafe"]);
+    fn crate_header_counts_only_unconditional_crate_level_forbid() {
+        let no_panic = &HEADER[HEADER.find('\n').unwrap_or(0) + 1..];
+        for forbid in [
+            "",
+            "#![cfg_attr(test, forbid(unsafe_code))]\n",
+            "#[forbid(unsafe_code)]\nmod m;\n",
+            "mod m { #![forbid(unsafe_code)] }\n",
+        ] {
+            let src = format!("{no_panic}{forbid}pub fn f() {{}}\n");
+            let findings = lint_file(&classify("crates/demo/src/lib.rs"), &src);
+            assert_eq!(rules_of(&findings), vec!["crate_header"], "{forbid:?}");
+            assert!(findings[0].message.contains("forbid(unsafe_code)"));
+        }
+    }
+
+    #[test]
+    fn crate_header_requires_the_no_panic_header_in_library_roots() {
+        let partial = "#![forbid(unsafe_code)]\n\
+                       #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]\n";
+        let findings = lint_file(&classify("crates/demo/src/lib.rs"), partial);
+        assert_eq!(rules_of(&findings), vec!["crate_header"]);
+        assert!(findings[0].message.contains("no-panic header"));
+        // Binary roots and the dev-tool crates need only the forbid.
+        let forbid_only = "#![forbid(unsafe_code)]\n";
+        assert!(lint_file(&classify("crates/demo/src/bin/tool.rs"), forbid_only).is_empty());
+        assert!(lint_file(&classify("crates/bench/src/lib.rs"), forbid_only).is_empty());
     }
 }

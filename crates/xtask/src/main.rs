@@ -1,25 +1,20 @@
 //! `cargo xtask` — workspace automation.
 //!
 //! ```text
-//! cargo xtask lint    [--format text|json|sarif] [--root DIR] [--rule ID]
-//! cargo xtask analyze [--format text|json|sarif] [--root DIR] [--rule ID]
-//!                     [--update-baseline] [--no-cache]
+//! cargo xtask lint [--format text|sarif] [--root DIR] [--rule ID]
 //! ```
 //!
-//! `lint` runs the seven per-file invariant rules (see [`lint`] module
-//! docs and DESIGN.md §"Static analysis & invariants") over every Rust
-//! source file in the workspace. `analyze` runs the four cross-file
-//! rules (see [`analyze`] module docs and DESIGN.md §"Cross-file
-//! analysis") over the `monitor`, `cluster`, `telemetry` and `ingest`
-//! crates, with an incremental fact cache and a checked-in finding
-//! baseline. Exit codes for both: 0 clean, 1 findings (for `analyze`:
-//! findings not in the baseline), 2 usage or I/O error. There is
+//! `lint` is the workspace's one static-analysis pass: per-file rules
+//! over every Rust source file, and cross-file rules over the
+//! `cluster`, `ingest`, `monitor` and `telemetry` crates (see the
+//! [`lint`] module docs and DESIGN.md §"Static analysis & invariants").
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error. There is
 //! deliberately no `--fix`: CI runs deny-by-default and violations are
 //! fixed (or justified inline) by hand.
 
 #![forbid(unsafe_code)]
 
-mod analyze;
+mod cross;
 mod graph;
 mod json;
 mod lexer;
@@ -30,258 +25,63 @@ mod workspace;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-#[derive(Debug, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
-const USAGE: &str = "usage: cargo xtask <lint|analyze> [--format text|json|sarif] \
-                     [--root DIR] [--rule ID] [--update-baseline] [--no-cache]";
+const USAGE: &str = "usage: cargo xtask lint [--format text|sarif] [--root DIR] [--rule ID]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => lint_cmd(&args[1..]),
-        Some("analyze") => analyze_cmd(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(msg) => {
+            eprintln!("{msg}");
             ExitCode::from(2)
         }
     }
 }
 
-/// Flags shared by both subcommands, parsed from `args`.
-struct CommonArgs {
-    format: Format,
-    root: Option<PathBuf>,
-    rule: Option<String>,
-    update_baseline: bool,
-    no_cache: bool,
-}
-
-fn parse_args(args: &[String], allow_baseline_flags: bool) -> Result<CommonArgs, String> {
-    let mut parsed = CommonArgs {
-        format: Format::Text,
-        root: None,
-        rule: None,
-        update_baseline: false,
-        no_cache: false,
-    };
+/// Parses `args`, runs the pass and prints the report. `Ok(true)` when
+/// no rule found anything.
+fn run(args: &[String]) -> Result<bool, String> {
     let mut it = args.iter();
+    if it.next().map(String::as_str) != Some("lint") {
+        return Err(USAGE.to_string());
+    }
+    let (mut sarif, mut root, mut rules) = (false, None, lint::RULES.to_vec());
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => parsed.format = Format::Text,
-                Some("json") => parsed.format = Format::Json,
-                Some("sarif") => parsed.format = Format::Sarif,
-                other => {
+        match (arg.as_str(), it.next().map(String::as_str)) {
+            ("--format", Some("text")) => sarif = false,
+            ("--format", Some("sarif")) => sarif = true,
+            ("--format", other) => {
+                return Err(format!("--format expects `text` or `sarif`, got {other:?}"))
+            }
+            ("--root", Some(dir)) => root = Some(PathBuf::from(dir)),
+            ("--rule", Some(id)) => match lint::RULES.iter().find(|r| **r == id) {
+                Some(r) => rules = vec![r],
+                None => {
                     return Err(format!(
-                        "--format expects `text`, `json` or `sarif`, got {other:?}"
+                        "unknown rule {id:?}; known rules: {}",
+                        lint::RULES.join(", ")
                     ))
                 }
             },
-            "--root" => match it.next() {
-                Some(dir) => parsed.root = Some(PathBuf::from(dir)),
-                None => return Err("--root expects a directory".to_string()),
-            },
-            "--rule" => match it.next() {
-                Some(id) => parsed.rule = Some(id.clone()),
-                None => return Err("--rule expects a rule id".to_string()),
-            },
-            "--update-baseline" if allow_baseline_flags => parsed.update_baseline = true,
-            "--no-cache" if allow_baseline_flags => parsed.no_cache = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            (flag @ ("--root" | "--rule"), None) => return Err(format!("{flag} expects a value")),
+            (other, _) => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
     }
-    Ok(parsed)
-}
-
-fn resolve_root(root: Option<PathBuf>) -> Result<PathBuf, String> {
-    match root {
-        Some(r) => Ok(r),
+    let root = match root {
+        Some(r) => r,
         None => default_root()
-            .ok_or_else(|| "could not locate the workspace root; pass --root".to_string()),
-    }
-}
-
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let parsed = match parse_args(args, false) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+            .ok_or_else(|| "could not locate the workspace root; pass --root".to_string())?,
     };
-    let rules: Vec<&'static str> = match &parsed.rule {
-        None => lint::RULES.to_vec(),
-        Some(id) => match lint::RULES.iter().find(|r| *r == id) {
-            Some(r) => vec![r],
-            None => {
-                eprintln!(
-                    "unknown lint rule {id:?}; known rules: {}",
-                    lint::RULES.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let root = match resolve_root(parsed.root) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let files = match workspace::workspace_files(&root) {
-        Ok(files) => files,
-        Err(err) => {
-            eprintln!("failed to walk {}: {err}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    // Lex every file once, then run rules one at a time so each can be
-    // timed individually.
-    let mut lexed_files = Vec::new();
-    for (class, path) in &files {
-        let src = match std::fs::read_to_string(path) {
-            Ok(src) => src,
-            Err(err) => {
-                eprintln!("failed to read {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let lexed = lexer::lex(&src);
-        let mask = lint::test_region_mask(&lexed.toks);
-        lexed_files.push((class.clone(), lexed, mask));
-    }
-    let scanned = lexed_files.len();
-    let mut findings = Vec::new();
-    let mut rule_times_us = Vec::new();
-    for rule in &rules {
-        let t0 = Instant::now();
-        for (class, lexed, mask) in &lexed_files {
-            lint::run_rule(rule, class, lexed, mask, &mut findings);
-        }
-        rule_times_us.push((rule.to_string(), t0.elapsed().as_micros()));
-    }
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    findings.dedup();
-
-    let rendered = match parsed.format {
-        Format::Text => report::text("lint", &findings, scanned),
-        Format::Json => report::json("lint", &rules, &findings, scanned, &rule_times_us, &[]),
-        Format::Sarif => report::sarif("lint", &rules, &findings),
+    let pass = lint::run(&root, &rules)?;
+    let rendered = if sarif {
+        report::sarif(&rules, &pass.findings)
+    } else {
+        report::text(&pass.findings, pass.files)
     };
     print!("{rendered}");
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-fn analyze_cmd(args: &[String]) -> ExitCode {
-    let parsed = match parse_args(args, true) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(id) = &parsed.rule {
-        if !analyze::ANALYZE_RULES.contains(&id.as_str()) {
-            eprintln!(
-                "unknown analyze rule {id:?}; known rules: {}",
-                analyze::ANALYZE_RULES.join(", ")
-            );
-            return ExitCode::from(2);
-        }
-    }
-    let root = match resolve_root(parsed.root) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = analyze::Options {
-        use_cache: !parsed.no_cache,
-        rule: parsed.rule.clone(),
-    };
-    let analysis = match analyze::run(&root, &opts) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if parsed.update_baseline {
-        if let Err(err) = analyze::write_baseline(&root, &analysis.findings) {
-            eprintln!("failed to write analyze-baseline.json: {err}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "analyze-baseline.json updated with {} finding(s)",
-            analysis.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    for (rule, path, message) in &analysis.stale_baseline {
-        eprintln!("warning: stale baseline entry (no longer reported): [{rule}] {path}: {message}");
-    }
-
-    let rules: Vec<&'static str> = match &parsed.rule {
-        None => analyze::ANALYZE_RULES.to_vec(),
-        Some(id) => analyze::ANALYZE_RULES
-            .iter()
-            .filter(|r| *r == id)
-            .copied()
-            .collect(),
-    };
-    let rendered = match parsed.format {
-        Format::Text => {
-            let mut out = report::finding_lines(&analysis.findings);
-            out.push_str(&format!(
-                "xtask analyze: {} finding(s) ({} new, {} baselined) across {} file(s) \
-                 ({} parsed, {} cached)\n",
-                analysis.findings.len(),
-                analysis.new_findings.len(),
-                analysis.baselined,
-                analysis.files,
-                analysis.parsed,
-                analysis.cached
-            ));
-            out
-        }
-        Format::Json => report::json(
-            "analyze",
-            &rules,
-            &analysis.findings,
-            analysis.files,
-            &analysis.rule_times_us,
-            &[
-                ("new_findings", analysis.new_findings.len()),
-                ("baselined", analysis.baselined),
-                ("files_parsed", analysis.parsed),
-                ("files_cached", analysis.cached),
-            ],
-        ),
-        Format::Sarif => report::sarif("analyze", &rules, &analysis.findings),
-    };
-    print!("{rendered}");
-    if analysis.new_findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    Ok(pass.findings.is_empty())
 }
 
 /// The workspace root: `$CARGO_MANIFEST_DIR/../..` when run via

@@ -1,24 +1,18 @@
 //! Item-level parsing: one file → [`FileFacts`].
 //!
-//! The second analysis layer (see [`analyze`](crate::analyze)) needs
-//! more structure than the token-scan lint rules: which functions
-//! exist, what they call, which locks they take and still hold at each
-//! call site, which enum variants are constructed vs. matched, where
-//! counters are declared, mutated and rendered. This module extracts
-//! exactly those facts from the [`lexer`](crate::lexer) token stream —
-//! a lightweight item parser, not a real Rust front end. Known
-//! approximations are documented in DESIGN.md §"Cross-file analysis";
-//! the guiding rule is: *over*-approximate lock lifetimes (safe for
-//! deadlock detection) and *under*-approximate name resolution (an
-//! unresolved call produces no edge, never a wrong one).
-//!
-//! Facts are serializable to/from the [`json`](crate::json) value
-//! model so the analyze pass can cache them per file, keyed by content
-//! hash.
+//! The cross-file rules (see [`cross`](crate::cross)) need more
+//! structure than the token-scan rules: which functions exist, what
+//! they call, which locks they take and still hold at each call site,
+//! where counters are declared, mutated and rendered. This module
+//! extracts exactly those facts from the [`lexer`](crate::lexer) token
+//! stream — a lightweight item parser, not a real Rust front end. Known
+//! approximations are documented in DESIGN.md §"Static analysis &
+//! invariants"; the guiding rule is: *over*-approximate lock lifetimes
+//! (safe for deadlock detection) and *under*-approximate name
+//! resolution (an unresolved call produces no edge, never a wrong one).
 
-use crate::json::{obj, str_arr, Value};
-use crate::lexer::{lex, Lexed, Tok, TokKind};
-use crate::lint::{item_end, match_forward, test_region_mask, FileClass};
+use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lint::{allowed, item_end, match_forward, FileClass};
 
 /// Time units the `unit_flow` rule distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,19 +104,6 @@ pub struct FnFacts {
     pub blocking: Vec<(String, usize)>,
 }
 
-/// A `match` expression's variant coverage.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatchFacts {
-    /// Enum names appearing in arm patterns (usually one).
-    pub enums: Vec<String>,
-    /// Variants named by non-wildcard arms (`Enum::Variant` patterns).
-    pub arms: Vec<String>,
-    /// `true` when any arm is `_` or a bare binding.
-    pub has_wildcard: bool,
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-}
-
 /// A `// conserve(<family>): <members>` declaration: the named
 /// counters form one conservation ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,13 +122,6 @@ pub struct FileFacts {
     /// Crate directory under `crates/`, or `"root"`.
     pub crate_dir: String,
     pub fns: Vec<FnFacts>,
-    /// Declared enums: `(name, variants, line)`.
-    pub enums: Vec<(String, Vec<String>, usize)>,
-    /// `Enum::Variant` uses outside pattern position: `(enum, variant,
-    /// line)`.
-    pub constructs: Vec<(String, String, usize)>,
-    /// `match` expressions with enum-variant arms.
-    pub matches: Vec<MatchFacts>,
     /// Metric names registered on a telemetry registry: `(name, line,
     /// is_counter)`.
     pub metric_names: Vec<(String, usize, bool)>,
@@ -158,17 +132,15 @@ pub struct FileFacts {
     pub mutations: Vec<(String, usize)>,
     /// Mixed-unit findings, computed per file: `(line, message)`.
     pub unit_findings: Vec<(usize, String)>,
-    /// `// lint: allow(<rule>) <reason>` waivers: `(line, rule)`.
-    pub allows: Vec<(usize, String)>,
+    /// `(line, text)` of every comment, for waiver lookups.
+    pub comments: Vec<(usize, String)>,
 }
 
 impl FileFacts {
-    /// `true` when a waiver for `rule` covers `line` (same line or the
-    /// line above, matching the lint pass's convention).
+    /// `true` when a `// lint: allow(<rule>) <reason>` waiver covers
+    /// `line`, as in the per-file rules.
     pub fn allowed(&self, rule: &str, line: usize) -> bool {
-        self.allows
-            .iter()
-            .any(|(l, r)| r == rule && (*l == line || *l + 1 == line))
+        allowed(&self.comments, rule, line)
     }
 }
 
@@ -206,37 +178,27 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
     "break", "else",
 ];
 
-/// Parses one file into its fact set.
-pub fn parse_file(class: &FileClass, src: &str) -> FileFacts {
-    let lexed = lex(src);
-    let mask = test_region_mask(&lexed.toks);
+/// Parses one lexed file (with its test-region `mask`) into its fact
+/// set.
+pub fn parse_file(class: &FileClass, lexed: &Lexed, mask: &[bool]) -> FileFacts {
     let mut facts = FileFacts {
         rel_path: class.rel_path.clone(),
         crate_dir: class.crate_dir.clone(),
+        comments: lexed.comments.clone(),
         ..FileFacts::default()
     };
-    collect_comments(&lexed, &mut facts);
+    collect_conserves(lexed, &mut facts);
     let toks = &lexed.toks;
-    let pattern = pattern_mask(toks, &mask, &mut facts);
-    collect_items(toks, &mask, &pattern, &mut facts);
-    collect_counters(toks, &mask, &mut facts);
-    collect_variant_uses(toks, &mask, &pattern, &mut facts);
-    collect_unit_findings(toks, &mask, &mut facts);
+    let pattern = pattern_mask(toks, mask);
+    collect_fns(toks, mask, &pattern, &mut facts);
+    collect_counters(toks, mask, &mut facts);
+    collect_unit_findings(toks, mask, &mut facts);
     facts
 }
 
-/// Waivers and `conserve(..)` declarations live in comments.
-fn collect_comments(lexed: &Lexed, facts: &mut FileFacts) {
+/// `conserve(..)` declarations live in comments.
+fn collect_conserves(lexed: &Lexed, facts: &mut FileFacts) {
     for (line, text) in &lexed.comments {
-        if let Some(at) = text.find("lint: allow(") {
-            let rest = &text[at + "lint: allow(".len()..];
-            if let Some(close) = rest.find(')') {
-                let rule = rest[..close].trim().to_string();
-                if !rest[close + 1..].trim().is_empty() && !rule.is_empty() {
-                    facts.allows.push((*line, rule));
-                }
-            }
-        }
         if let Some(at) = text.find("conserve(") {
             let rest = &text[at + "conserve(".len()..];
             if let (Some(close), Some(colon)) = (rest.find(')'), rest.find(':')) {
@@ -262,23 +224,15 @@ fn collect_comments(lexed: &Lexed, facts: &mut FileFacts) {
 
 /// Marks every token in pattern position — `match` arm patterns (up to
 /// each `=>`), `if let`/`while let` patterns (up to the `=`), and the
-/// pattern argument of `matches!`. Also records [`MatchFacts`] for
-/// real `match` expressions.
-fn pattern_mask(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) -> Vec<bool> {
+/// pattern argument of `matches!`.
+fn pattern_mask(toks: &[Tok], mask: &[bool]) -> Vec<bool> {
     let mut pat = vec![false; toks.len()];
     let mut i = 0;
     while i < toks.len() {
         if toks[i].is_ident("match") && !mask[i] {
             if let Some(body) = match_body_open(toks, i) {
                 let close = match_forward(toks, body, '{', '}');
-                let mut m = MatchFacts {
-                    line: toks[i].line,
-                    ..MatchFacts::default()
-                };
-                mark_match_arms(toks, body, close, &mut pat, &mut m);
-                if !m.enums.is_empty() {
-                    facts.matches.push(m);
-                }
+                mark_match_arms(toks, body, close, &mut pat);
                 i += 1;
                 continue;
             }
@@ -354,9 +308,8 @@ fn match_body_open(toks: &[Tok], match_kw: usize) -> Option<usize> {
     None
 }
 
-/// Walks the arms of one `match` body, marking pattern tokens and
-/// collecting variant coverage.
-fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool], m: &mut MatchFacts) {
+/// Walks the arms of one `match` body, marking pattern tokens.
+fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool]) {
     let mut j = body + 1;
     while j < close {
         // Pattern region: from `j` to the `=>` at depth 0.
@@ -391,38 +344,6 @@ fn mark_match_arms(toks: &[Tok], body: usize, close: usize, pat: &mut [bool], m:
         for slot in pat.iter_mut().take(pat_end).skip(start) {
             *slot = true;
         }
-        // Variant coverage for this arm.
-        let mut named_variant = false;
-        let mut k = start;
-        while k + 2 < pat_end {
-            if toks[k].kind == TokKind::Ident
-                && toks[k + 1].is_punct(':')
-                && toks[k + 2].is_punct(':')
-            {
-                if let Some(v) = toks.get(k + 3) {
-                    if v.kind == TokKind::Ident && is_type_like(&toks[k].text) {
-                        if !m.enums.contains(&toks[k].text) {
-                            m.enums.push(toks[k].text.clone());
-                        }
-                        if !m.arms.contains(&v.text) {
-                            m.arms.push(v.text.clone());
-                        }
-                        named_variant = true;
-                    }
-                }
-                k += 4;
-                continue;
-            }
-            k += 1;
-        }
-        if !named_variant {
-            // `_`, a bare binding, a literal, `Some(x)` with no
-            // qualified variant — treat as a wildcard-ish arm.
-            let first = &toks[start];
-            if first.is_punct('_') || first.kind == TokKind::Ident {
-                m.has_wildcard = true;
-            }
-        }
         // Skip the arm expression: a block, or tokens to the next
         // depth-0 `,`.
         j = arrow + 2;
@@ -455,8 +376,8 @@ fn is_type_like(name: &str) -> bool {
     name.chars().next().is_some_and(|c| c.is_uppercase())
 }
 
-/// Enum declarations plus per-function lock/call/blocking facts.
-fn collect_items(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut FileFacts) {
+/// Per-function lock/call/blocking facts.
+fn collect_fns(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut FileFacts) {
     // Impl spans, so methods get `Type::name` symbols.
     let mut impls: Vec<(String, usize, usize)> = Vec::new(); // (type, open, close)
     let mut i = 0;
@@ -494,49 +415,6 @@ fn collect_items(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut File
                 let close = match_forward(toks, j, '{', '}');
                 if let Some(ty) = ty {
                     impls.push((ty, j, close));
-                }
-            }
-        }
-        if toks[i].is_ident("enum") && !mask[i] {
-            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                if let Some(open) = (i + 2..toks.len()).find(|&j| toks[j].is_punct('{')) {
-                    let close = match_forward(toks, open, '{', '}');
-                    let mut variants = Vec::new();
-                    let mut k = open + 1;
-                    while k < close {
-                        // Skip attributes on the variant.
-                        while toks[k].is_punct('#')
-                            && toks.get(k + 1).map(|t| t.is_punct('[')) == Some(true)
-                        {
-                            k = match_forward(toks, k + 1, '[', ']') + 1;
-                        }
-                        if k >= close {
-                            break;
-                        }
-                        if toks[k].kind == TokKind::Ident {
-                            variants.push(toks[k].text.clone());
-                        }
-                        // Skip the variant payload up to the next
-                        // depth-0 comma.
-                        let mut depth = 0i32;
-                        while k < close {
-                            let t = &toks[k];
-                            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                                depth += 1;
-                            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                                depth -= 1;
-                            } else if depth == 0 && t.is_punct(',') {
-                                k += 1;
-                                break;
-                            }
-                            k += 1;
-                        }
-                    }
-                    facts
-                        .enums
-                        .push((name.text.clone(), variants, toks[i].line));
-                    i = close + 1;
-                    continue;
                 }
             }
         }
@@ -851,29 +729,6 @@ fn collect_counters(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) {
     }
 }
 
-/// `Enum::Variant` uses outside pattern position (constructions,
-/// expression mentions).
-fn collect_variant_uses(toks: &[Tok], mask: &[bool], pattern: &[bool], facts: &mut FileFacts) {
-    for i in 0..toks.len().saturating_sub(3) {
-        if mask[i] || pattern[i] {
-            continue;
-        }
-        if toks[i].kind == TokKind::Ident
-            && is_type_like(&toks[i].text)
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].kind == TokKind::Ident
-            && is_type_like(&toks[i + 3].text)
-        {
-            facts.constructs.push((
-                toks[i].text.clone(),
-                toks[i + 3].text.clone(),
-                toks[i + 3].line,
-            ));
-        }
-    }
-}
-
 /// Mixed-unit arithmetic, computed per file. Purely lexical: an
 /// identifier carries the unit its name declares; direct `a op b`
 /// between different units is flagged, as are `from_X(y)` / `as_X()`
@@ -989,291 +844,19 @@ fn collect_unit_findings(toks: &[Tok], mask: &[bool], facts: &mut FileFacts) {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON (de)serialization for the fact cache.
-// ---------------------------------------------------------------------
-
-impl FileFacts {
-    /// Serializes the facts for the per-file cache.
-    pub fn to_json(&self) -> Value {
-        let fns = self
-            .fns
-            .iter()
-            .map(|f| {
-                obj(vec![
-                    ("name", Value::Str(f.name.clone())),
-                    ("line", Value::Num(f.line as i64)),
-                    (
-                        "calls",
-                        Value::Arr(
-                            f.calls
-                                .iter()
-                                .map(|c| {
-                                    obj(vec![
-                                        (
-                                            "q",
-                                            c.qualifier
-                                                .clone()
-                                                .map(Value::Str)
-                                                .unwrap_or(Value::Null),
-                                        ),
-                                        ("name", Value::Str(c.name.clone())),
-                                        ("method", Value::Bool(c.is_method)),
-                                        ("line", Value::Num(c.line as i64)),
-                                        ("held", str_arr(&c.held)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("acquires", pairs_json(&f.acquires)),
-                    ("ordered", triples_json(&f.ordered)),
-                    ("blocking_holding", triples_json(&f.blocking_holding)),
-                    ("blocking", pairs_json(&f.blocking)),
-                ])
-            })
-            .collect();
-        let enums = self
-            .enums
-            .iter()
-            .map(|(name, variants, line)| {
-                obj(vec![
-                    ("name", Value::Str(name.clone())),
-                    ("variants", str_arr(variants)),
-                    ("line", Value::Num(*line as i64)),
-                ])
-            })
-            .collect();
-        let matches = self
-            .matches
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("enums", str_arr(&m.enums)),
-                    ("arms", str_arr(&m.arms)),
-                    ("wildcard", Value::Bool(m.has_wildcard)),
-                    ("line", Value::Num(m.line as i64)),
-                ])
-            })
-            .collect();
-        let conserves = self
-            .conserves
-            .iter()
-            .map(|c| {
-                obj(vec![
-                    ("family", Value::Str(c.family.clone())),
-                    ("members", str_arr(&c.members)),
-                    ("line", Value::Num(c.line as i64)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("rel_path", Value::Str(self.rel_path.clone())),
-            ("crate_dir", Value::Str(self.crate_dir.clone())),
-            ("fns", Value::Arr(fns)),
-            ("enums", Value::Arr(enums)),
-            ("constructs", triples_json(&self.constructs)),
-            ("matches", Value::Arr(matches)),
-            (
-                "metric_names",
-                Value::Arr(
-                    self.metric_names
-                        .iter()
-                        .map(|(n, l, c)| {
-                            Value::Arr(vec![
-                                Value::Str(n.clone()),
-                                Value::Num(*l as i64),
-                                Value::Bool(*c),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("conserves", Value::Arr(conserves)),
-            ("mutations", pairs_json(&self.mutations)),
-            (
-                "unit_findings",
-                Value::Arr(
-                    self.unit_findings
-                        .iter()
-                        .map(|(l, m)| {
-                            Value::Arr(vec![Value::Num(*l as i64), Value::Str(m.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "allows",
-                Value::Arr(
-                    self.allows
-                        .iter()
-                        .map(|(l, r)| {
-                            Value::Arr(vec![Value::Num(*l as i64), Value::Str(r.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes facts from the cache; `None` on shape mismatch.
-    pub fn from_json(v: &Value) -> Option<FileFacts> {
-        let mut facts = FileFacts {
-            rel_path: v.get("rel_path")?.as_str()?.to_string(),
-            crate_dir: v.get("crate_dir")?.as_str()?.to_string(),
-            ..FileFacts::default()
-        };
-        for f in v.get("fns")?.as_arr()? {
-            let mut func = FnFacts {
-                name: f.get("name")?.as_str()?.to_string(),
-                line: f.get("line")?.as_num()? as usize,
-                ..FnFacts::default()
-            };
-            for c in f.get("calls")?.as_arr()? {
-                func.calls.push(CallFacts {
-                    qualifier: c.get("q").and_then(Value::as_str).map(str::to_string),
-                    name: c.get("name")?.as_str()?.to_string(),
-                    is_method: matches!(c.get("method"), Some(Value::Bool(true))),
-                    line: c.get("line")?.as_num()? as usize,
-                    held: str_vec(c.get("held")?)?,
-                });
-            }
-            func.acquires = pairs_from(f.get("acquires")?)?;
-            func.ordered = triples_from(f.get("ordered")?)?;
-            func.blocking_holding = triples_from(f.get("blocking_holding")?)?;
-            func.blocking = pairs_from(f.get("blocking")?)?;
-            facts.fns.push(func);
-        }
-        for e in v.get("enums")?.as_arr()? {
-            facts.enums.push((
-                e.get("name")?.as_str()?.to_string(),
-                str_vec(e.get("variants")?)?,
-                e.get("line")?.as_num()? as usize,
-            ));
-        }
-        facts.constructs = triples_from(v.get("constructs")?)?;
-        for m in v.get("matches")?.as_arr()? {
-            facts.matches.push(MatchFacts {
-                enums: str_vec(m.get("enums")?)?,
-                arms: str_vec(m.get("arms")?)?,
-                has_wildcard: matches!(m.get("wildcard"), Some(Value::Bool(true))),
-                line: m.get("line")?.as_num()? as usize,
-            });
-        }
-        for (name, line, is_counter) in v.get("metric_names")?.as_arr()?.iter().filter_map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_num()? as usize,
-                matches!(arr.get(2), Some(Value::Bool(true))),
-            ))
-        }) {
-            facts.metric_names.push((name, line, is_counter));
-        }
-        for c in v.get("conserves")?.as_arr()? {
-            facts.conserves.push(ConserveDecl {
-                family: c.get("family")?.as_str()?.to_string(),
-                members: str_vec(c.get("members")?)?,
-                line: c.get("line")?.as_num()? as usize,
-            });
-        }
-        facts.mutations = pairs_from(v.get("mutations")?)?;
-        for e in v.get("unit_findings")?.as_arr()? {
-            let arr = e.as_arr()?;
-            facts.unit_findings.push((
-                arr.first()?.as_num()? as usize,
-                arr.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        for e in v.get("allows")?.as_arr()? {
-            let arr = e.as_arr()?;
-            facts.allows.push((
-                arr.first()?.as_num()? as usize,
-                arr.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        Some(facts)
-    }
-}
-
-fn pairs_json(items: &[(String, usize)]) -> Value {
-    Value::Arr(
-        items
-            .iter()
-            .map(|(s, l)| Value::Arr(vec![Value::Str(s.clone()), Value::Num(*l as i64)]))
-            .collect(),
-    )
-}
-
-fn pairs_from(v: &Value) -> Option<Vec<(String, usize)>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_num()? as usize,
-            ))
-        })
-        .collect()
-}
-
-fn triples_json(items: &[(String, String, usize)]) -> Value {
-    Value::Arr(
-        items
-            .iter()
-            .map(|(a, b, l)| {
-                Value::Arr(vec![
-                    Value::Str(a.clone()),
-                    Value::Str(b.clone()),
-                    Value::Num(*l as i64),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn triples_from(v: &Value) -> Option<Vec<(String, String, usize)>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| {
-            let arr = e.as_arr()?;
-            Some((
-                arr.first()?.as_str()?.to_string(),
-                arr.get(1)?.as_str()?.to_string(),
-                arr.get(2)?.as_num()? as usize,
-            ))
-        })
-        .collect()
-}
-
-fn str_vec(v: &Value) -> Option<Vec<String>> {
-    v.as_arr()?
-        .iter()
-        .map(|e| e.as_str().map(str::to_string))
-        .collect()
-}
-
-/// FNV-1a 64 over the file contents — the cache key.
-pub fn content_hash(src: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in src.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn class(path: &str) -> FileClass {
-        crate::workspace::classify(path)
+    /// Lexes and parses `src` as the file at `path`.
+    pub(crate) fn facts(path: &str, src: &str) -> FileFacts {
+        let lexed = crate::lexer::lex(src);
+        let mask = crate::lint::test_region_mask(&lexed.toks);
+        parse_file(&crate::workspace::classify(path), &lexed, &mask)
     }
 
     fn parse(src: &str) -> FileFacts {
-        parse_file(&class("crates/monitor/src/demo.rs"), src)
+        facts("crates/monitor/src/demo.rs", src)
     }
 
     #[test]
@@ -1362,50 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_variant_extraction() {
-        let src = "pub enum Message {\n\
-                       Hello { worker: u32 },\n\
-                       Ping(u64),\n\
-                       Shutdown,\n\
-                   }\n";
-        let facts = parse(src);
-        assert_eq!(facts.enums.len(), 1);
-        assert_eq!(facts.enums[0].0, "Message");
-        assert_eq!(facts.enums[0].1, vec!["Hello", "Ping", "Shutdown"]);
-    }
-
-    #[test]
-    fn constructions_and_matches_are_distinguished() {
-        let src = "fn send() -> Message { Message::Ping(1) }\n\
-                   fn handle(m: Message) {\n\
-                       match m {\n\
-                           Message::Ping(_) => {}\n\
-                           Message::Hello { .. } | Message::Shutdown => {}\n\
-                           _ => {}\n\
-                       }\n\
-                   }\n";
-        let facts = parse(src);
-        assert_eq!(
-            facts.constructs,
-            vec![("Message".to_string(), "Ping".to_string(), 1)]
-        );
-        assert_eq!(facts.matches.len(), 1);
-        let m = &facts.matches[0];
-        assert_eq!(m.enums, vec!["Message"]);
-        assert_eq!(m.arms, vec!["Ping", "Hello", "Shutdown"]);
-        assert!(m.has_wildcard);
-    }
-
-    #[test]
-    fn if_let_is_a_pattern_not_a_construction() {
-        let src = "fn f(m: Message) {\n\
-                       if let Message::Ping(seq) = m { use_seq(seq); }\n\
-                   }\n";
-        let facts = parse(src);
-        assert!(facts.constructs.is_empty());
-    }
-
-    #[test]
     fn metric_registration_and_mutations() {
         let src = "fn wire(r: &Registry, stats: &mut Stats) {\n\
                        let c = r.counter(\"cluster_batches_sent_total\", \"help\");\n\
@@ -1463,36 +1002,10 @@ mod tests {
                    mod tests {\n\
                        fn helper(a: &Mutex<u8>) { let g = a.lock().unwrap(); }\n\
                        #[test]\n\
-                       fn t() { Message::Ping(1); }\n\
+                       fn t() { let c = r.counter(\"t_total\", \"h\"); }\n\
                    }\n";
         let facts = parse(src);
         assert_eq!(facts.fns.len(), 1);
-        assert!(facts.constructs.is_empty());
-    }
-
-    #[test]
-    fn facts_round_trip_through_json() {
-        let src = "// conserve(ledger): sent = acked + lost\n\
-                   // lint: allow(lock_order) documented hand-off design\n\
-                   pub enum E { A, B }\n\
-                   fn f(a: &Mutex<u8>, rx: &Mutex<Receiver<u8>>, sent_us: i64, lag_ns: i64) {\n\
-                       let g = a.lock().unwrap();\n\
-                       let r = rx.lock().unwrap();\n\
-                       let x = r.recv();\n\
-                       let bad = sent_us + lag_ns;\n\
-                       let e = E::A;\n\
-                       match e { E::A => {}, E::B => {} }\n\
-                       helper(1);\n\
-                   }\n";
-        let facts = parse(src);
-        let round =
-            FileFacts::from_json(&crate::json::parse(&facts.to_json().render()).unwrap()).unwrap();
-        assert_eq!(facts, round);
-    }
-
-    #[test]
-    fn content_hash_is_stable_and_content_sensitive() {
-        assert_eq!(content_hash("abc"), content_hash("abc"));
-        assert_ne!(content_hash("abc"), content_hash("abd"));
+        assert!(facts.metric_names.is_empty());
     }
 }

@@ -59,8 +59,9 @@ pub fn classify(rel: &str) -> FileClass {
     let in_src = (crate_dir != "root" && parts.get(2) == Some(&"src"))
         || (crate_dir == "root" && parts.first() == Some(&"src"));
     let file = parts.last().copied().unwrap_or_default();
-    // `xtask` is the lint driver itself — a dev tool, not library code
-    // shipped to correlation paths, so the panic/µs rules don't apply.
+    // `xtask` is the lint driver itself and `bench` holds criterion
+    // harnesses — dev tools, not library code shipped to correlation
+    // paths, so the µs rule and the no-panic header don't apply.
     let is_library = in_src
         && file != "main.rs"
         && file != "tests.rs"
@@ -68,7 +69,7 @@ pub fn classify(rel: &str) -> FileClass {
         && crate_dir != "xtask"
         && crate_dir != "bench";
     // Crate roots: `src/lib.rs`, `src/main.rs`, and every `src/bin/*`
-    // binary root — all must carry `#![forbid(unsafe_code)]`.
+    // binary root — all audited by `crate_header`.
     let is_crate_root = (in_src && (file == "lib.rs" || file == "main.rs") && {
         let depth = if crate_dir == "root" { 2 } else { 4 };
         parts.len() == depth
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn classifies_the_ingest_crate_like_any_library() {
         // The auto-discovered ingest crate gets the full library rule
-        // set (no_panic, micros_math, forbid_unsafe at the root).
+        // set (micros_math, crate_header at the root).
         let parser = classify("crates/ingest/src/pcap.rs");
         assert_eq!(parser.crate_dir, "ingest");
         assert!(parser.is_library);
@@ -117,8 +118,8 @@ mod tests {
     #[test]
     fn classifies_the_telemetry_crate_like_any_library() {
         // Telemetry sits on the hottest paths of all; its src files
-        // get the full library rule set (no_panic, ordering_comment,
-        // micros_math, forbid_unsafe at the root).
+        // get the full library rule set (ordering_comment, micros_math,
+        // crate_header at the root).
         let counter = classify("crates/telemetry/src/metrics.rs");
         assert_eq!(counter.crate_dir, "telemetry");
         assert!(counter.is_library);

@@ -1,56 +1,55 @@
-//! Self-consistency of the rule inventory: the `RULES` /
-//! `ANALYZE_RULES` arrays (observed through the binary's JSON output),
-//! the markdown tables in the two module docs, and the README rules
-//! table must all list the same ids — and the English count words in
-//! the prose ("Seven rules", "Four rules") must match reality, so a
-//! future rule can't land in one place and silently miss the others.
+//! Self-consistency of the rule inventory: the `RULES` array (observed
+//! through the SARIF `tool.driver.rules` array the binary emits), the
+//! markdown table in the `lint` module docs, and the README rules table
+//! must all list the same ids — and the English count words in the
+//! prose ("Nine rules", "six additional gates") must match reality, so
+//! a future rule or lane can't land in one place and silently miss the
+//! others.
 
 use std::path::Path;
 use std::process::Command;
 
-/// Runs the xtask binary on an empty root and returns the rule ids
-/// from the JSON `counts` object (one per registered rule, present
-/// even at zero).
-fn binary_rule_ids(subcommand: &str) -> Vec<String> {
+/// Runs the binary on an empty root and returns the rule ids of the
+/// SARIF run's `tool.driver.rules` array.
+fn binary_rule_ids() -> Vec<String> {
     // One root per test thread: tests run in parallel, and two tests
     // sharing a root race its removal against the other's scan.
     let thread = std::thread::current().id();
-    let root =
-        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("consistency-{subcommand}-{thread:?}"));
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("consistency-{thread:?}"));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("create empty root");
     let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args([
-            subcommand,
+            "lint",
             "--format",
-            "json",
+            "sarif",
             "--root",
             root.to_str().expect("utf-8 path"),
         ])
         .output()
         .expect("run xtask");
     assert!(output.status.success(), "empty root must be clean");
+    let _ = std::fs::remove_dir_all(&root);
     let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-    let counts_line = stdout
-        .lines()
-        .find(|l| l.trim_start().starts_with("\"counts\""))
-        .expect("json output has a counts object");
-    // `"counts": {"a": 0, "b": 0}` — the quoted strings after the key
-    // are exactly the rule ids.
-    let body = counts_line.split_once('{').expect("counts is an object").1;
-    let mut ids: Vec<String> = body
-        .split('"')
+    // `"rules":[{"id":"a","name":"A"},{"id":"b",..}]` — the values of
+    // the `id` keys inside the array are exactly the rule ids.
+    let rules = stdout
+        .split_once("\"rules\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("SARIF driver has a rules array")
+        .0;
+    let mut ids: Vec<String> = rules
+        .split("\"id\":\"")
         .skip(1)
-        .step_by(2)
+        .filter_map(|s| s.split('"').next())
         .map(str::to_owned)
         .collect();
     ids.sort();
-    let _ = std::fs::remove_dir_all(&root);
     ids
 }
 
-/// Extracts rule ids from a module doc's markdown table: lines of the
-/// form ``//! | `id` | invariant |``.
+/// Extracts rule ids from the `lint` module doc's markdown table:
+/// lines of the form ``//! | `id` | invariant |``.
 fn doc_table_ids(src: &str) -> Vec<String> {
     let mut ids: Vec<String> = src
         .lines()
@@ -62,19 +61,14 @@ fn doc_table_ids(src: &str) -> Vec<String> {
     ids
 }
 
-fn read_source(rel: &str) -> String {
+fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-fn read_readme() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
-    std::fs::read_to_string(&path).expect("read README.md")
-}
-
-/// Rule ids from the README's combined rules table: rows of the form
-/// ``| lint | `id` | ...`` / ``| analyze | `id` | ...``.
-fn readme_rule_ids(readme: &str, pass: &str) -> Vec<String> {
+/// Rule ids from the README's rules table: rows of the form
+/// ``| `id` | scope | invariant |``.
+fn readme_rule_ids(readme: &str) -> Vec<String> {
     let section = readme
         .split("### Static analysis rules")
         .nth(1)
@@ -82,10 +76,9 @@ fn readme_rule_ids(readme: &str, pass: &str) -> Vec<String> {
         .split("\n## ")
         .next()
         .expect("section body");
-    let prefix = format!("| {pass} | `");
     let mut ids: Vec<String> = section
         .lines()
-        .filter_map(|l| l.strip_prefix(prefix.as_str()))
+        .filter_map(|l| l.strip_prefix("| `"))
         .filter_map(|l| l.split('`').next())
         .map(str::to_owned)
         .collect();
@@ -100,56 +93,37 @@ fn count_word(n: usize) -> &'static str {
 }
 
 #[test]
-fn lint_rule_table_matches_the_rules_array() {
-    let ids = binary_rule_ids("lint");
-    let doc = doc_table_ids(&read_source("src/lint.rs"));
-    assert_eq!(ids, doc, "lint.rs module-doc table must list RULES exactly");
-}
-
-#[test]
-fn analyze_rule_table_matches_the_rules_array() {
-    let ids = binary_rule_ids("analyze");
-    let doc = doc_table_ids(&read_source("src/analyze.rs"));
+fn module_doc_table_matches_the_rules_array() {
     assert_eq!(
-        ids, doc,
-        "analyze.rs module-doc table must list ANALYZE_RULES exactly"
+        binary_rule_ids(),
+        doc_table_ids(&read("src/lint.rs")),
+        "lint.rs module-doc table must list RULES exactly"
     );
 }
 
 #[test]
-fn readme_rules_table_matches_both_passes() {
-    let readme = read_readme();
+fn readme_rules_table_matches_the_rules_array() {
     assert_eq!(
-        binary_rule_ids("lint"),
-        readme_rule_ids(&readme, "lint"),
-        "README rules table must list every lint rule"
-    );
-    assert_eq!(
-        binary_rule_ids("analyze"),
-        readme_rule_ids(&readme, "analyze"),
-        "README rules table must list every analyze rule"
+        binary_rule_ids(),
+        readme_rule_ids(&read("../../README.md")),
+        "README rules table must list every rule"
     );
 }
 
 #[test]
-fn count_words_in_prose_match_rule_counts() {
-    let word = count_word(binary_rule_ids("lint").len());
-    let lint_src = read_source("src/lint.rs").to_lowercase();
+fn count_word_in_prose_matches_rule_count() {
+    let word = count_word(binary_rule_ids().len());
     assert!(
-        lint_src.contains(&format!("{word} rules")),
+        read("src/lint.rs")
+            .to_lowercase()
+            .contains(&format!("{word} rules")),
         "lint.rs prose must say \"{word} rules\""
-    );
-    let word = count_word(binary_rule_ids("analyze").len());
-    let analyze_src = read_source("src/analyze.rs").to_lowercase();
-    assert!(
-        analyze_src.contains(&format!("{word} rules")),
-        "analyze.rs prose must say \"{word} rules\""
     );
 }
 
 #[test]
 fn readme_lane_count_word_matches_the_lanes_table() {
-    let readme = read_readme();
+    let readme = read("../../README.md");
     let lanes_section = readme
         .split("## Verification lanes")
         .nth(1)

@@ -1,8 +1,7 @@
-//! End-to-end check of the acceptance criterion: the lint binary must
-//! exit non-zero when a seeded violation of each of the seven rules is
-//! introduced (eight seeded cases — `bounded_ipc` is seeded in both
-//! the `cluster` crate and the newer `scenario`/serve scope), report
-//! each of them, and emit parseable JSON.
+//! End-to-end check of the lint binary: a seeded violation of each rule
+//! must fail the pass and be reported under its id, waivers and the
+//! `--rule` filter must work, SARIF must be well formed, and the real
+//! workspace must be clean.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -27,15 +26,13 @@ impl Fixture {
         std::fs::write(path, content).expect("write fixture file");
     }
 
-    fn lint(&self, format: &str) -> (bool, String) {
+    /// Runs `xtask lint --root <fixture> <extra..>`; returns (exit 0?,
+    /// stdout).
+    fn lint(&self, extra: &[&str]) -> (bool, String) {
+        let mut args = vec!["lint", "--root", self.root.to_str().expect("utf-8 path")];
+        args.extend_from_slice(extra);
         let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
-            .args([
-                "lint",
-                "--format",
-                format,
-                "--root",
-                self.root.to_str().expect("utf-8 path"),
-            ])
+            .args(&args)
             .output()
             .expect("run xtask lint");
         (
@@ -51,56 +48,89 @@ impl Drop for Fixture {
     }
 }
 
-const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\npub fn ok() {}\n";
+/// The header every library root carries.
+const HEADER: &str = "#![forbid(unsafe_code)]\n\
+    #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+    clippy::todo, clippy::unimplemented, clippy::allow_attributes_without_reason))]\n";
+
+/// The no-panic half of [`HEADER`], for seeding a bad `forbid`.
+fn no_panic_header() -> &'static str {
+    HEADER.split_once('\n').expect("two-line header").1
+}
 
 #[test]
 fn clean_workspace_exits_zero() {
     let fx = Fixture::new("clean");
-    fx.write("crates/good/src/lib.rs", CLEAN_LIB);
-    let (ok, out) = fx.lint("text");
+    fx.write(
+        "crates/good/src/lib.rs",
+        &format!("{HEADER}pub fn ok() {{}}\n"),
+    );
+    let (ok, out) = fx.lint(&[]);
     assert!(ok, "expected exit 0 on a clean tree, got:\n{out}");
     assert!(out.contains("0 finding(s)"));
 }
 
 #[test]
 fn each_seeded_rule_violation_fails_the_lint() {
-    // One violation per rule, each on a known line; bounded_ipc is
-    // seeded once per scope it covers.
-    let cases: [(&str, &str, &str); 8] = [
-        (
-            "no_panic",
-            "crates/a/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        ),
+    // One violation per rule (bounded_ipc once per scope it covers,
+    // crate_header once per way a root can leave the crate uncovered),
+    // each with a snippet of the expected message.
+    let bad_forbid = |forbid: &str| format!("{}{forbid}pub fn f() {{}}\n", no_panic_header());
+    let cases: Vec<(&str, &str, String, &str)> = vec![
         (
             "micros_math",
-            "crates/b/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f(d: TimeDelta) -> i64 { d.as_micros() * 2 }\n",
+            "crates/b/src/x.rs",
+            "pub fn f(d: TimeDelta) -> i64 { d.as_micros() * 2 }\n".into(),
+            "raw integer arithmetic",
         ),
         (
             "ordering_comment",
-            "crates/c/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n",
+            "crates/c/src/x.rs",
+            "pub fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n".into(),
+            "`Ordering::Relaxed`",
         ),
         (
             "bounded_queue",
             "crates/monitor/src/extra.rs",
-            "pub fn f() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }\n",
+            "pub fn f() { let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); }\n".into(),
+            "unbounded `mpsc::channel`",
         ),
         (
             "heartbeat_touch",
             "crates/monitor/src/drain.rs",
-            "pub fn worker_drain(ctx: &Ctx) { loop { ctx.step(); } }\n",
+            "pub fn worker_drain(ctx: &Ctx) { loop { ctx.step(); } }\n".into(),
+            "heartbeat",
         ),
         (
-            "forbid_unsafe",
+            "crate_header",
             "crates/e/src/lib.rs",
-            "pub fn f() {}\n",
+            bad_forbid(""),
+            "forbid(unsafe_code)",
+        ),
+        (
+            "crate_header",
+            "crates/e/src/lib.rs",
+            bad_forbid("#![cfg_attr(test, forbid(unsafe_code))]\n"),
+            "forbid(unsafe_code)",
+        ),
+        (
+            "crate_header",
+            "crates/e/src/lib.rs",
+            bad_forbid("#[forbid(unsafe_code)]\nmod m;\n"),
+            "forbid(unsafe_code)",
+        ),
+        (
+            "crate_header",
+            "crates/e/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub fn f() {}\n".into(),
+            "no-panic header",
         ),
         (
             "bounded_ipc",
             "crates/cluster/src/extra.rs",
-            "pub fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize) }\n",
+            "pub fn f(len: u32) -> Vec<u8> { Vec::with_capacity(len as usize + MAX_HEADER) }\n"
+                .into(),
+            "`with_capacity`",
         ),
         (
             "bounded_ipc",
@@ -109,64 +139,156 @@ fn each_seeded_rule_violation_fails_the_lint() {
              \x20   let mut b = Vec::new();\n\
              \x20   r.read_to_end(&mut b);\n\
              \x20   b\n\
-             }\n",
+             }\n"
+            .into(),
+            "`.read_to_end()`",
+        ),
+        (
+            "lock_order",
+            "crates/monitor/src/a.rs",
+            "pub fn ab(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
+                 let ga = a.lock().unwrap();\n\
+                 let gb = b.lock().unwrap();\n\
+             }\n\
+             pub fn ba(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
+                 let gb = b.lock().unwrap();\n\
+                 let ga = a.lock().unwrap();\n\
+             }\n"
+            .into(),
+            "cycle",
+        ),
+        (
+            "lock_order",
+            "crates/monitor/src/w.rs",
+            "pub fn worker(rx: &Mutex<Receiver<u8>>) {\n\
+                 let guard = rx.lock().unwrap();\n\
+                 let _job = guard.recv();\n\
+             }\n"
+            .into(),
+            "held across blocking `recv()`",
+        ),
+        (
+            "unit_flow",
+            "crates/ingest/src/ts.rs",
+            "pub fn skewed(ts_micros: i64, skew_nanos: i64) -> i64 { ts_micros + skew_nanos }\n"
+                .into(),
+            "mixed-unit",
+        ),
+        (
+            // `dropped` is a declared ledger member that is never
+            // incremented nor rendered.
+            "counter_pairing",
+            "crates/telemetry/src/wire.rs",
+            "// conserve(jobs): enqueued = dequeued + dropped\n\
+             pub fn wire(r: &Registry, s: &S) {\n\
+                 r.counter(\"t_jobs_enqueued_total\", \"h\");\n\
+                 r.counter(\"t_jobs_dequeued_total\", \"h\");\n\
+                 s.enqueued.inc();\n\
+                 s.dequeued.inc();\n\
+             }\n"
+            .into(),
+            "`dropped`",
+        ),
+        (
+            "counter_pairing",
+            "crates/cluster/src/m.rs",
+            "pub fn wire(r: &Registry) {\n\
+                 let c = r.counter(\"cluster_frames_lost_total\", \"h\");\n\
+                 c.inc();\n\
+             }\n"
+            .into(),
+            "no conserve() declaration",
         ),
     ];
-    for (i, (rule, path, src)) in cases.into_iter().enumerate() {
+    for (i, (rule, path, src, snippet)) in cases.into_iter().enumerate() {
         let fx = Fixture::new(&format!("seed-{i}-{rule}"));
-        fx.write("crates/good/src/lib.rs", CLEAN_LIB);
-        fx.write("crates/monitor/src/lib.rs", "#![forbid(unsafe_code)]\n");
-        fx.write(path, src);
-        let (ok, out) = fx.lint("text");
+        fx.write("crates/good/src/lib.rs", HEADER);
+        fx.write("crates/monitor/src/lib.rs", HEADER);
+        fx.write(path, &src);
+        let (ok, out) = fx.lint(&[]);
         assert!(!ok, "seeded {rule} violation must fail the lint:\n{out}");
         assert!(
-            out.contains(&format!("[{rule}]")),
-            "output must name {rule}:\n{out}"
+            out.contains(&format!("[{rule}]")) && out.contains(snippet),
+            "output must name {rule} with {snippet:?}:\n{out}"
         );
     }
 }
 
 #[test]
-fn json_output_is_well_formed_and_counts_rules() {
-    let fx = Fixture::new("json");
+fn waivers_suppress_findings_of_both_rule_kinds() {
+    let fx = Fixture::new("allow");
     fx.write(
-        "crates/a/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        "crates/a/src/x.rs",
+        "// lint: allow(micros_math) wire format stores raw µs\n\
+         pub fn f(d: TimeDelta) -> i64 { d.as_micros() * 2 }\n",
     );
-    let (ok, out) = fx.lint("json");
+    fx.write(
+        "crates/monitor/src/w.rs",
+        "pub fn worker(rx: &Mutex<Receiver<u8>>) {\n\
+             let guard = rx.lock().unwrap();\n\
+             // lint: allow(lock_order) single consumer owns the receiver while blocked\n\
+             let _job = guard.recv();\n\
+         }\n",
+    );
+    let (ok, out) = fx.lint(&[]);
+    assert!(ok, "justified findings must be suppressed:\n{out}");
+}
+
+#[test]
+fn rule_filter_runs_only_that_rule() {
+    let fx = Fixture::new("filter");
+    // Seeds violations of unit_flow, counter_pairing and crate_header.
+    fx.write(
+        "crates/ingest/src/ts.rs",
+        "pub fn skewed(ts_micros: i64, skew_nanos: i64) -> i64 { ts_micros + skew_nanos }\n",
+    );
+    fx.write(
+        "crates/cluster/src/lib.rs",
+        "pub fn wire(r: &Registry) { let c = r.counter(\"c_lost_total\", \"h\"); c.inc(); }\n",
+    );
+    let (ok, out) = fx.lint(&["--rule", "unit_flow"]);
+    assert!(!ok, "{out}");
+    assert!(out.contains("[unit_flow]"), "{out}");
+    assert!(!out.contains("[counter_pairing]"), "{out}");
+    assert!(!out.contains("[crate_header]"), "{out}");
+}
+
+#[test]
+fn sarif_output_is_well_formed() {
+    let fx = Fixture::new("sarif");
+    fx.write(
+        "crates/ingest/src/ts.rs",
+        "pub fn skewed(ts_micros: i64, skew_nanos: i64) -> i64 { ts_micros + skew_nanos }\n",
+    );
+    let (ok, out) = fx.lint(&["--format", "sarif"]);
     assert!(!ok);
-    // Structural spot-checks (no JSON parser in the dep-free build).
-    assert!(out.trim_start().starts_with('{'));
-    assert!(out.trim_end().ends_with('}'));
-    assert!(out.contains("\"schema\": 1"));
-    assert!(out.contains("\"no_panic\": 1"));
-    assert!(out.contains("\"rule\": \"no_panic\""));
-    assert!(out.contains("\"path\": \"crates/a/src/lib.rs\""));
-    assert!(out.contains("\"line\": 2"));
-    assert_eq!(
-        out.matches('{').count(),
-        out.matches('}').count(),
-        "balanced braces:\n{out}"
-    );
+    assert!(out.contains("\"version\":\"2.1.0\""), "{out}");
+    assert!(out.contains("xtask-lint"), "{out}");
+    assert!(out.contains("\"ruleId\":\"unit_flow\""), "{out}");
+    assert!(out.contains("crates/ingest/src/ts.rs"), "{out}");
+    assert_eq!(out.matches('{').count(), out.matches('}').count());
     assert_eq!(out.matches('[').count(), out.matches(']').count());
 }
 
 #[test]
-fn allow_comments_suppress_findings() {
-    let fx = Fixture::new("allow");
-    fx.write(
-        "crates/a/src/lib.rs",
-        "#![forbid(unsafe_code)]\n\
-         // lint: allow(no_panic) invariant: upstream flows are non-empty by construction\n\
-         pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-    );
-    let (ok, out) = fx.lint("text");
-    assert!(ok, "justified finding must be suppressed:\n{out}");
+fn usage_errors_exit_two() {
+    for args in [
+        &["check"][..],
+        &["lint", "--format", "xml"],
+        &["lint", "--rule", "no_such_rule"],
+        &["lint", "--fix"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .args(args)
+            .output()
+            .expect("run xtask");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]
-fn real_workspace_is_lint_clean() {
-    // The repo itself must satisfy its own invariants: run the linter
+fn real_workspace_is_clean() {
+    // The repo itself must satisfy its own invariants: run the pass
     // against the actual workspace this test compiled from.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let output = Command::new(env!("CARGO_BIN_EXE_xtask"))
