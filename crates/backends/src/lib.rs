@@ -57,7 +57,7 @@ pub use mode::{DecodeMode, DecodeOptions, UnknownDecodeMode};
 pub use outcome::{Correlation, RobustOutcome};
 pub use stream::StreamState;
 
-use stepstone_flow::Flow;
+use stepstone_flow::{Flow, Timestamp};
 
 /// The contract every correlator backend implements: one watched
 /// upstream flow, judged against many suspicious flows.
@@ -87,6 +87,16 @@ pub trait CorrelatorBackend: Send + Sync {
     /// The upstream flow this backend is bound to, as observed on the
     /// wire. The monitor sizes decode windows from its length.
     fn upstream(&self) -> &Flow;
+
+    /// A stream-time bound below which no window can decide: any window
+    /// whose last packet is earlier than this timestamp provably
+    /// decodes to a non-correlated [`Correlation`] with no Hamming
+    /// distance and no robust outcome, so the monitor may skip its
+    /// decode. `None` (the default) promises nothing and every window
+    /// is decoded.
+    fn decision_floor(&self) -> Option<Timestamp> {
+        None
+    }
 
     /// Batch decode: decides whether `suspicious` is a downstream flow
     /// of the bound upstream flow. Must never panic, whatever the

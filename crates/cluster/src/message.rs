@@ -97,7 +97,8 @@ impl BatchEntry {
 ///
 /// Field order is the wire order. `queue_depth` collapses the engine's
 /// per-shard depth vector into its sum — that is all the cross-process
-/// conservation identity needs.
+/// conservation identity needs. `MonitorStats::decodes_skipped` is not
+/// carried: it takes part in no identity, and the frame predates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs, reason = "field names mirror `MonitorStats` exactly")]
 pub struct WireStats {
@@ -771,6 +772,7 @@ mod tests {
             queue_enqueued: 10,
             queue_dequeued: 4,
             decodes_run: 3,
+            decodes_skipped: 7,
             jobs_lost: 1,
             flows_active: 2,
             pairs_active: 4,

@@ -5,7 +5,7 @@ use stepstone_backends::{
     BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
     GameBackend, GameConfig, RobustOutcome, StreamState,
 };
-use stepstone_flow::{Flow, TimeDelta};
+use stepstone_flow::{Flow, TimeDelta, Timestamp};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, MatchingSets};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkError};
 
@@ -326,6 +326,21 @@ impl CorrelatorBackend for PaperBackend {
 
     fn upstream(&self) -> &Flow {
         &self.upstream
+    }
+
+    /// Strict mode: the last upstream packet's matching set holds only
+    /// packets at or after its timestamp `tₙ₋₁` (delays are
+    /// non-negative, §3.2), so a window ending earlier has an empty set
+    /// and decodes to [`Correlation::unmatched`] under every algorithm,
+    /// size quantum or not. Robust mode has no floor: its gap-tolerant
+    /// sets count the missing tail as erasures, and a prefix decode can
+    /// blow the erasure budget, which the monitor must see.
+    fn decision_floor(&self) -> Option<Timestamp> {
+        if self.cfg.decode.is_robust() {
+            None
+        } else {
+            self.upstream.last().map(|p| p.timestamp())
+        }
     }
 
     fn decode(&self, suspicious: &Flow) -> Correlation {

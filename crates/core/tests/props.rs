@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
-use stepstone_core::{Algorithm, WatermarkCorrelator};
-use stepstone_flow::{Flow, TimeDelta, Timestamp};
+use stepstone_core::{Algorithm, BackendKind, DecodeOptions, WatermarkCorrelator};
+use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_traffic::Seed;
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
@@ -146,6 +146,77 @@ proptest! {
                 TimeDelta::from_millis(200),
             );
             prop_assert!(out.correlated, "{alg}: {out}");
+        }
+    }
+
+    /// The decision floor is sound: in strict mode a window whose last
+    /// packet is earlier than the floor decodes to an uncorrelated
+    /// outcome with no Hamming distance and no robust outcome, under
+    /// every algorithm, with or without a size quantum — so the monitor
+    /// may skip it. Robust mode and the passive backends promise no
+    /// floor.
+    #[test]
+    fn windows_ending_before_the_decision_floor_never_decide(
+        flow_seed in 0u64..5000,
+        attack_seed in 0u64..5000,
+        delta_s in 1i64..5,
+        chaff in 0.0f64..2.0,
+        correlated in proptest::bool::ANY,
+        cut in 0.0f64..1.0,
+        quantum in 0u32..64,
+    ) {
+        let original = seeded_flow(flow_seed);
+        let marker = IpdWatermarker::new(WatermarkKey::new(flow_seed ^ 77), tiny_params());
+        let watermark = Watermark::random(4, &mut WatermarkKey::new(flow_seed).rng(1));
+        let marked = marker.embed(&original, &watermark).unwrap();
+        let delta = TimeDelta::from_secs(delta_s);
+        let base = if correlated { marked.clone() } else { seeded_flow(flow_seed ^ 0xDEAD) };
+        let suspicious = AdversaryPipeline::new()
+            .then(UniformPerturbation::new(delta))
+            .then(ChaffInjector::new(ChaffModel::Poisson { rate: chaff }))
+            .apply(&base, Seed::new(attack_seed));
+        let floor = marked.last().unwrap().timestamp();
+        let before: Vec<Packet> =
+            suspicious.iter().copied().filter(|p| p.timestamp() < floor).collect();
+        if before.is_empty() {
+            return Ok(());
+        }
+        let keep = 1 + ((before.len() - 1) as f64 * cut) as usize;
+        let windows = [
+            Flow::from_packets(before.iter().copied()).unwrap(),
+            Flow::from_packets(before[..keep].iter().copied()).unwrap(),
+        ];
+
+        for alg in [
+            Algorithm::Greedy,
+            Algorithm::GreedyPlus,
+            Algorithm::Optimal { cost_bound: 10_000_000 },
+            Algorithm::BruteForce { cost_bound: 50_000_000 },
+        ] {
+            let mut cfg = WatermarkCorrelator::new(marker, watermark.clone(), delta, alg);
+            // Quantum 0 leaves the size constraint off.
+            if quantum > 0 {
+                cfg = cfg.with_size_quantum(quantum);
+            }
+            let bound = cfg.bind(&original, &marked).unwrap();
+            prop_assert_eq!(bound.as_backend().decision_floor(), Some(floor));
+            for window in &windows {
+                let out = bound.correlate(window);
+                prop_assert!(!out.correlated, "{alg}: {out}");
+                prop_assert_eq!(out.hamming, None, "{}", alg);
+                prop_assert!(out.robust.is_none(), "{alg}: {out}");
+            }
+            for kind in BackendKind::ALL {
+                for decode in [DecodeOptions::strict(), DecodeOptions::robust(2)] {
+                    if kind == BackendKind::Paper && !decode.is_robust() {
+                        continue;
+                    }
+                    let other = cfg
+                        .bind_backend_with(kind, decode, chaff, &original, &marked)
+                        .unwrap();
+                    prop_assert_eq!(other.as_backend().decision_floor(), None, "{:?}", kind);
+                }
+            }
         }
     }
 }

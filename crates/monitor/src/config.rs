@@ -63,12 +63,13 @@ pub struct MonitorConfig {
     /// still in flight skips its boundary, and a full shard queue
     /// drops the attempt — so *which* windows get decoded depends on
     /// worker timing. With this set, the engine snapshots a decode at
-    /// every boundary and blocks ingest (pumping completions) when a
-    /// queue is full, making the decoded-window set — and therefore
-    /// every terminal verdict — a pure function of the ingested event
-    /// stream. Scenario replays set this to honour the verdict-digest
-    /// reproducibility contract; live captures keep the default, where
-    /// shedding load beats stalling the wire.
+    /// every boundary, blocks ingest (pumping completions) when a
+    /// queue is full, and lets a pair's previous decode land before
+    /// scheduling its next, making the decoded-window set, the decode
+    /// count and every terminal verdict a pure function of the
+    /// ingested event stream. Scenario replays set this to honour the
+    /// verdict-digest reproducibility contract; live captures keep the
+    /// default, where shedding load beats stalling the wire.
     pub deterministic_schedule: bool,
     /// Watchdog threshold: a shard whose queue is non-empty but whose
     /// worker heartbeat is older than this is flagged stalled. `None`

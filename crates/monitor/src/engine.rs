@@ -1,12 +1,12 @@
 //! The online correlation engine: registry, shard pool, verdicts.
 
 use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use stepstone_core::{BackendKind, BoundCorrelator, Correlation};
-use stepstone_flow::{Packet, SlidingWindow, Timestamp};
+use stepstone_flow::{Flow, Packet, SlidingWindow, Timestamp};
 use stepstone_telemetry::{span, Registry};
 
 use crate::config::MonitorConfig;
@@ -89,6 +89,29 @@ struct Suspect {
     pairs: BTreeMap<UpstreamId, PairState>,
 }
 
+/// One registered upstream: its correlator plus what scheduling needs
+/// from it, computed once at registration.
+struct Watched {
+    correlator: Arc<BoundCorrelator>,
+    /// The backend's decision floor: a window whose last packet is
+    /// earlier than this cannot decide, so its decode is skipped (see
+    /// `CorrelatorBackend::decision_floor`).
+    floor: Option<Timestamp>,
+    /// The window length a pair needs before decoding
+    /// ([`Monitor::min_window_for`]).
+    min_window: usize,
+}
+
+impl Watched {
+    /// `true` when `window` ends before the decision floor, so
+    /// decoding it would provably yield an uncorrelated outcome with no
+    /// Hamming distance — exactly what a pair that is never decoded
+    /// reports.
+    fn cannot_decide(&self, window: &SlidingWindow) -> bool {
+        matches!((self.floor, window.last_timestamp()), (Some(floor), Some(last)) if last < floor)
+    }
+}
+
 /// The final report returned by [`Monitor::finish`].
 #[derive(Debug, Clone)]
 pub struct MonitorReport {
@@ -144,34 +167,68 @@ impl Control {
     /// respawn poll here (the pump runs on every ingest).
     fn pump(&mut self, done_rx: &Receiver<WorkerEvent>, supervisor: &mut Supervisor) {
         while let Ok(event) = done_rx.try_recv() {
-            match event {
-                WorkerEvent::Done(done) => self.absorb(done),
-                WorkerEvent::Died { shard, inflight } => {
-                    supervisor.note_death(shard);
-                    let Some(pair) = inflight else { continue };
-                    // The job died dequeued-but-incomplete; account it
-                    // so `dequeued == decodes_run + jobs_lost` holds.
-                    self.metrics.jobs_lost.inc();
-                    if let Some(state) = self
-                        .suspects
-                        .get_mut(&pair.flow)
-                        .and_then(|s| s.pairs.get_mut(&pair.upstream))
-                    {
-                        // The pair gets another chance: new packets (or
-                        // the shutdown flush) schedule a fresh decode.
-                        state.in_flight = false;
-                    } else if self.orphans.remove(&pair).is_some() {
-                        // Evicted mid-decode and the decode died with
-                        // its worker: degraded is the terminal word.
-                        self.emit(Verdict::Degraded {
-                            pair,
-                            reason: DegradeReason::WorkerLost,
-                        });
-                    }
+            self.handle(event, supervisor);
+        }
+        supervisor.respawn_due(false);
+    }
+
+    /// Blocks until `pair` has no queued or running decode, handling
+    /// worker events (and respawning dead workers) as they arrive.
+    /// Terminates: every accepted job yields a completion or a death
+    /// notice, and both clear the pair's `in_flight`.
+    fn await_landing(
+        &mut self,
+        pair: PairId,
+        done_rx: &Receiver<WorkerEvent>,
+        supervisor: &mut Supervisor,
+    ) {
+        while self
+            .suspects
+            .get(&pair.flow)
+            .and_then(|s| s.pairs.get(&pair.upstream))
+            .is_some_and(|state| state.in_flight)
+        {
+            match done_rx.recv_timeout(Duration::from_millis(1)) {
+                Ok(event) => self.handle(event, supervisor),
+                Err(RecvTimeoutError::Timeout) => {}
+                // The supervisor holds a sender for the engine's life;
+                // without one no completion can ever arrive.
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            supervisor.respawn_due(false);
+        }
+    }
+
+    /// Applies one worker event: a completion updates its pair and may
+    /// emit `Correlated`; a death notice accounts the lost job and
+    /// hands the shard to the supervisor.
+    fn handle(&mut self, event: WorkerEvent, supervisor: &mut Supervisor) {
+        match event {
+            WorkerEvent::Done(done) => self.absorb(done),
+            WorkerEvent::Died { shard, inflight } => {
+                supervisor.note_death(shard);
+                let Some(pair) = inflight else { return };
+                // The job died dequeued-but-incomplete; account it so
+                // `dequeued == decodes_run + jobs_lost` holds.
+                self.metrics.jobs_lost.inc();
+                if let Some(state) = self
+                    .suspects
+                    .get_mut(&pair.flow)
+                    .and_then(|s| s.pairs.get_mut(&pair.upstream))
+                {
+                    // The pair gets another chance: new packets (or the
+                    // shutdown flush) schedule a fresh decode.
+                    state.in_flight = false;
+                } else if self.orphans.remove(&pair).is_some() {
+                    // Evicted mid-decode and the decode died with its
+                    // worker: degraded is the terminal word.
+                    self.emit(Verdict::Degraded {
+                        pair,
+                        reason: DegradeReason::WorkerLost,
+                    });
                 }
             }
         }
-        supervisor.respawn_due(false);
     }
 
     /// Applies one completed decode to its pair.
@@ -284,7 +341,7 @@ impl Control {
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Monitor {
     config: MonitorConfig,
-    upstreams: BTreeMap<UpstreamId, Arc<BoundCorrelator>>,
+    upstreams: BTreeMap<UpstreamId, Watched>,
     control: Control,
     shards: Vec<ShardSender<DecodeJob>>,
     /// Gauge handles outliving `shards`, so the final stats snapshot in
@@ -374,7 +431,12 @@ impl Monitor {
     /// Panics if `id` is already registered.
     pub fn register_upstream(&mut self, id: UpstreamId, correlator: BoundCorrelator) {
         self.control.backends.insert(id, correlator.backend());
-        let previous = self.upstreams.insert(id, Arc::new(correlator));
+        let watched = Watched {
+            floor: correlator.as_backend().decision_floor(),
+            min_window: self.min_window_for(&correlator),
+            correlator: Arc::new(correlator),
+        };
+        let previous = self.upstreams.insert(id, watched);
         assert!(previous.is_none(), "upstream {id} registered twice");
     }
 
@@ -508,6 +570,7 @@ impl Monitor {
             pairs_latched: m.pairs_latched.get(),
             decodes_scheduled: m.decodes_scheduled.get(),
             decodes_run: m.decodes_run.get(),
+            decodes_skipped: m.decodes_skipped.get(),
             decodes_dropped: self.gauges.iter().map(ShardGauges::dropped).sum(),
             queue_depths: self.gauges.iter().map(ShardGauges::depth).collect(),
             queue_enqueued: self.gauges.iter().map(ShardGauges::enqueued).sum(),
@@ -558,7 +621,9 @@ impl Monitor {
             std::thread::yield_now();
         }
         // Final decode for every unresolved pair that has data beyond
-        // its last decode (or was never decoded at all).
+        // its last decode (or was never decoded at all). A window that
+        // ends before its upstream's decision floor is skipped, as at a
+        // boundary, and its pair falls through to the terminal sweep.
         let flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
         for flow in flows {
             let Some(suspect) = self.control.suspects.get(&flow) else {
@@ -566,18 +631,30 @@ impl Monitor {
             };
             let mut jobs = Vec::new();
             for (&upstream, state) in &suspect.pairs {
-                let Some(correlator) = self.upstreams.get(&upstream) else {
+                let Some(watched) = self.upstreams.get(&upstream) else {
                     continue;
                 };
                 if state.resolved
                     || state.in_flight
-                    || suspect.window.len() < self.min_window_for(correlator)
+                    || suspect.window.len() < watched.min_window
                     || state.decoded_through >= suspect.window.pushed()
                 {
                     continue;
                 }
-                jobs.push((upstream, Arc::clone(correlator)));
+                if watched.cannot_decide(&suspect.window) {
+                    self.control.metrics.decodes_skipped.inc();
+                    continue;
+                }
+                jobs.push((upstream, Arc::clone(&watched.correlator)));
             }
+            if jobs.is_empty() {
+                continue;
+            }
+            // One snapshot serves every upstream's job for this flow:
+            // the pump below absorbs completions but never touches a
+            // window.
+            let window = Arc::new(suspect.window.snapshot());
+            let pushed = suspect.window.pushed();
             for (upstream, correlator) in jobs {
                 let pair = PairId { upstream, flow };
                 let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
@@ -587,16 +664,11 @@ impl Monitor {
                     self.degrade_pair(pair, DegradeReason::Stalled);
                     continue;
                 }
-                let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-                    continue;
-                };
                 let job = DecodeJob {
                     pair,
                     correlator,
-                    window: suspect.window.snapshot(),
-                    pushed: suspect.window.pushed(),
+                    window: Arc::clone(&window),
                 };
-                let pushed = job.pushed;
                 // Blocking push: the flush must not drop work. The
                 // pump callback keeps draining completions so a full
                 // queue and an undrained done stream cannot deadlock —
@@ -762,13 +834,18 @@ impl Monitor {
     /// new packets. Uses `try_push`; a full shard queue counts a drop
     /// and the pair retries on a later packet. Sustained drop streaks
     /// trip the load-shedding policy, if enabled.
+    ///
+    /// A due window that ends before its upstream's decision floor is
+    /// not decoded: the boundary is marked covered and counted in
+    /// `decodes_skipped`. Every decoded window shares one snapshot of
+    /// the flow's window, taken at most once per call.
     fn schedule_pairs(&mut self, flow: FlowId) {
         let upstream_ids: Vec<UpstreamId> = self.upstreams.keys().copied().collect();
+        let mut snapshot: Option<Arc<Flow>> = None;
         for upstream in upstream_ids {
-            let Some(correlator) = self.upstreams.get(&upstream).map(Arc::clone) else {
+            let Some(watched) = self.upstreams.get(&upstream) else {
                 continue;
             };
-            let min_window = self.min_window_for(&correlator);
             let Some(suspect) = self.control.suspects.get_mut(&flow) else {
                 return;
             };
@@ -781,23 +858,47 @@ impl Monitor {
                 }
                 btree_map::Entry::Occupied(entry) => entry.into_mut(),
             };
-            // Deterministic mode never skips a boundary for an
-            // in-flight decode: multiple jobs for one pair may queue,
-            // and `absorb` tolerates completions in any order.
+            let pushed = suspect.window.pushed();
             if state.resolved
                 || (state.in_flight && !self.config.deterministic_schedule)
-                || suspect.window.len() < min_window
-                || suspect.window.pushed() - state.decoded_through < self.config.decode_batch as u64
+                || suspect.window.len() < watched.min_window
+                || pushed - state.decoded_through < self.config.decode_batch as u64
             {
                 continue;
             }
+            if watched.cannot_decide(&suspect.window) {
+                // Advance the boundary grid exactly as a decode would,
+                // so every window still decoded is the same window.
+                state.decoded_through = pushed;
+                self.control.metrics.decodes_skipped.inc();
+                continue;
+            }
             let pair = PairId { upstream, flow };
-            let pushed = suspect.window.pushed();
+            let correlator = Arc::clone(&watched.correlator);
+            let window =
+                Arc::clone(snapshot.get_or_insert_with(|| Arc::new(suspect.window.snapshot())));
+            if state.in_flight {
+                // Deterministic mode keeps at most one job per pair
+                // outstanding: wait for the previous decode to land,
+                // then re-check, so a latch it reports stops scheduling
+                // whatever the worker timing — decoded windows and
+                // decode counts are both a pure function of the stream.
+                self.control
+                    .await_landing(pair, &self.done_rx, &mut self.supervisor);
+                let resolved = self
+                    .control
+                    .suspects
+                    .get(&flow)
+                    .and_then(|s| s.pairs.get(&upstream))
+                    .is_none_or(|state| state.resolved);
+                if resolved {
+                    continue;
+                }
+            }
             let job = DecodeJob {
                 pair,
                 correlator,
-                window: suspect.window.snapshot(),
-                pushed,
+                window,
             };
             let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
             if self.config.deterministic_schedule {

@@ -36,6 +36,9 @@ pub(crate) struct EngineMetrics {
     pub decodes_scheduled: Arc<Counter>,
     /// Decode jobs completed by workers.
     pub decodes_run: Arc<Counter>,
+    /// Due decodes not run because the window ended before the
+    /// upstream's decision floor.
+    pub decodes_skipped: Arc<Counter>,
     /// Decode panics caught in worker threads.
     pub worker_panics: Arc<Counter>,
     /// Shard workers respawned by the supervisor after a death.
@@ -104,6 +107,10 @@ impl EngineMetrics {
             decodes_run: r.counter(
                 "monitor_decodes_run_total",
                 "Decode jobs completed by shard workers",
+            ),
+            decodes_skipped: r.counter(
+                "monitor_decodes_skipped_total",
+                "Due decodes skipped because the window ended before the upstream's decision floor",
             ),
             worker_panics: r.counter(
                 "monitor_worker_panics_total",

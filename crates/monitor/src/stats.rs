@@ -31,6 +31,10 @@ pub struct MonitorStats {
     pub decodes_scheduled: u64,
     /// Decode jobs completed by workers.
     pub decodes_run: u64,
+    /// Due decodes not run because the window ended before the
+    /// upstream's decision floor: such a window provably cannot
+    /// correlate, so skipping it changes no verdict.
+    pub decodes_skipped: u64,
     /// Decode attempts dropped because the target shard queue was full
     /// (backpressure; the pair retries as more packets arrive).
     pub decodes_dropped: u64,
@@ -92,8 +96,12 @@ impl fmt::Display for MonitorStats {
         )?;
         writeln!(
             f,
-            "decodes: {} scheduled, {} run, {} dropped (backpressure), {} panicked",
-            self.decodes_scheduled, self.decodes_run, self.decodes_dropped, self.worker_panics
+            "decodes: {} scheduled, {} run, {} skipped (before floor), {} dropped (backpressure), {} panicked",
+            self.decodes_scheduled,
+            self.decodes_run,
+            self.decodes_skipped,
+            self.decodes_dropped,
+            self.worker_panics
         )?;
         writeln!(
             f,

@@ -40,10 +40,9 @@ use crate::queue::{ShardGauges, ShardReceiver};
 pub(crate) struct DecodeJob {
     pub pair: PairId,
     pub correlator: Arc<BoundCorrelator>,
-    pub window: Flow,
-    /// The flow's cumulative push count at snapshot time; carried back
-    /// in the completion so staleness is observable.
-    pub pushed: u64,
+    /// The flow's window at the boundary, shared by every upstream's
+    /// job for that boundary.
+    pub window: Arc<Flow>,
 }
 
 /// A finished decode, reported back to the control side.

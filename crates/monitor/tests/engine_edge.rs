@@ -205,6 +205,88 @@ fn undersized_flow_clears_without_decoding() {
     );
 }
 
+/// Strict decoding has a decision floor — the upstream's last
+/// timestamp: a window ending earlier leaves the last upstream packet
+/// without a match and cannot correlate. A decoy long enough to pass
+/// the window gate but ending before the upstream is therefore never
+/// decoded, its skipped boundaries are counted, and its pair still ends
+/// `Cleared`. Robust decoding has no floor, so the same flows are
+/// decoded there.
+#[test]
+fn decoy_ending_before_the_upstream_is_skipped_only_in_strict_mode() {
+    use stepstone_core::{BackendKind, DecodeOptions};
+
+    let n = 300;
+    let original = interactive(n, 41);
+    let marker = IpdWatermarker::new(WatermarkKey::new(41 ^ 0xABC), WatermarkParams::small());
+    let watermark = Watermark::random(8, &mut WatermarkKey::new(41).rng(1));
+    let marked = marker.embed(&original, &watermark).unwrap();
+    let correlator = WatermarkCorrelator::new(
+        marker,
+        watermark,
+        TimeDelta::from_secs(2),
+        Algorithm::GreedyPlus,
+    );
+    // 2n packets spread evenly over the upstream's span, minus a second.
+    let end = marked.last().unwrap().timestamp().as_micros() - 1_000_000;
+    let decoy = Flow::from_timestamps(
+        (0..2 * n as i64).map(|i| Timestamp::from_micros(i * end / (2 * n as i64))),
+    )
+    .unwrap();
+    let pair = PairId {
+        upstream: UpstreamId(0),
+        flow: FlowId(0),
+    };
+    for config in [
+        MonitorConfig::default().with_decode_batch(16),
+        MonitorConfig::default()
+            .with_decode_batch(16)
+            .with_deterministic_schedule(),
+    ] {
+        let mut monitor = Monitor::new(config.clone());
+        monitor.register_upstream(UpstreamId(0), correlator.bind(&original, &marked).unwrap());
+        for &p in decoy.packets() {
+            monitor.ingest(FlowId(0), p);
+        }
+        let report = monitor.finish();
+        let stats = &report.stats;
+        assert_eq!(stats.decodes_run, 0, "{stats}");
+        assert_eq!(stats.decodes_scheduled, 0, "{stats}");
+        assert!(stats.decodes_skipped > 0, "{stats}");
+        assert_eq!(
+            report
+                .verdicts
+                .iter()
+                .filter(|v| v.pair() == Some(pair))
+                .collect::<Vec<_>>(),
+            [&Verdict::Cleared {
+                pair,
+                hamming: None,
+                decodes: 0
+            }],
+        );
+
+        let robust = correlator
+            .bind_backend_with(
+                BackendKind::Paper,
+                DecodeOptions::robust(4),
+                0.0,
+                &original,
+                &marked,
+            )
+            .unwrap();
+        let mut monitor = Monitor::new(config);
+        monitor.register_upstream(UpstreamId(0), robust);
+        for &p in decoy.packets() {
+            monitor.ingest(FlowId(0), p);
+        }
+        let report = monitor.finish();
+        assert!(report.stats.decodes_run > 0, "{}", report.stats);
+        assert_eq!(report.stats.decodes_skipped, 0, "{}", report.stats);
+        assert_one_terminal_verdict_per_pair(&report.verdicts, 1);
+    }
+}
+
 /// Eviction racing an in-flight decode: the orphaned pair's completion
 /// still produces exactly one terminal verdict, and shutdown leaves no
 /// orphan behind.
