@@ -43,6 +43,7 @@
 
 mod elices;
 mod game;
+mod gate;
 mod kind;
 mod matchstats;
 mod mode;
@@ -51,13 +52,14 @@ mod stream;
 
 pub use elices::{ElicesBackend, ElicesConfig};
 pub use game::{GameBackend, GameConfig};
+pub use gate::{ChainRule, ChainState, Gate};
 pub use kind::{BackendKind, UnknownBackend};
 pub use matchstats::{order_consistent_stats, robust_order_consistent_stats, MatchStats};
 pub use mode::{DecodeMode, DecodeOptions, UnknownDecodeMode};
 pub use outcome::{Correlation, RobustOutcome};
 pub use stream::StreamState;
 
-use stepstone_flow::{Flow, Timestamp};
+use stepstone_flow::{Flow, SlidingWindow};
 
 /// The contract every correlator backend implements: one watched
 /// upstream flow, judged against many suspicious flows.
@@ -88,14 +90,19 @@ pub trait CorrelatorBackend: Send + Sync {
     /// wire. The monitor sizes decode windows from its length.
     fn upstream(&self) -> &Flow;
 
-    /// A stream-time bound below which no window can decide: any window
-    /// whose last packet is earlier than this timestamp provably
-    /// decodes to a non-correlated [`Correlation`] with no Hamming
-    /// distance and no robust outcome, so the monitor may skip its
-    /// decode. `None` (the default) promises nothing and every window
-    /// is decoded.
-    fn decision_floor(&self) -> Option<Timestamp> {
-        None
+    /// The pair's decision gate: extends the pair's resumable `chain`
+    /// ([`ChainState::advance`]) over the packets `window` gained since
+    /// the last call and says whether the window can decide.
+    ///
+    /// The answer must be sound. [`Gate::Pending`] promises that the
+    /// batch [`decode`](Self::decode) of `window` is unmatched (not
+    /// correlated, no Hamming distance, no robust outcome), so the
+    /// monitor may skip it. [`Gate::Unrelated`] promises the same for
+    /// every longer window of the stream, so the monitor may clear the
+    /// pair at once. The default, [`Gate::Complete`], promises nothing
+    /// and every due window is decoded.
+    fn gate(&self, _window: &SlidingWindow, _chain: &mut ChainState) -> Gate {
+        Gate::Complete
     }
 
     /// Batch decode: decides whether `suspicious` is a downstream flow

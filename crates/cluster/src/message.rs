@@ -97,8 +97,9 @@ impl BatchEntry {
 ///
 /// Field order is the wire order. `queue_depth` collapses the engine's
 /// per-shard depth vector into its sum — that is all the cross-process
-/// conservation identity needs. `MonitorStats::decodes_skipped` is not
-/// carried: it takes part in no identity, and the frame predates it.
+/// conservation identity needs. `MonitorStats::decodes_skipped` and
+/// `MonitorStats::pairs_cleared_early` are not carried: they take part
+/// in no identity, and the frame predates them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs, reason = "field names mirror `MonitorStats` exactly")]
 pub struct WireStats {
@@ -773,6 +774,7 @@ mod tests {
             queue_dequeued: 4,
             decodes_run: 3,
             decodes_skipped: 7,
+            pairs_cleared_early: 2,
             jobs_lost: 1,
             flows_active: 2,
             pairs_active: 4,

@@ -2,10 +2,10 @@
 //! [`BoundCorrelator`] seam the online monitor decodes through.
 
 use stepstone_backends::{
-    BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
-    GameBackend, GameConfig, RobustOutcome, StreamState,
+    BackendKind, ChainRule, ChainState, CorrelatorBackend, DecodeMode, DecodeOptions,
+    ElicesBackend, ElicesConfig, GameBackend, GameConfig, Gate, RobustOutcome, StreamState,
 };
-use stepstone_flow::{Flow, TimeDelta, Timestamp};
+use stepstone_flow::{Flow, SlidingWindow, TimeDelta};
 use stepstone_matching::{CostMeter, GappedSets, Matcher, MatchingSets};
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkError};
 
@@ -103,8 +103,15 @@ impl WatermarkCorrelator {
     }
 
     /// Enables the quantized-packet-size matching constraint (§3.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantum` is zero. (Checked here rather than at the
+    /// first decode: the monitor's decision gate reads the quantum on
+    /// its control thread.)
     #[must_use]
     pub fn with_size_quantum(mut self, quantum: u32) -> Self {
+        assert!(quantum > 0, "size quantum must be positive");
         self.size_quantum = Some(quantum);
         self
     }
@@ -328,19 +335,33 @@ impl CorrelatorBackend for PaperBackend {
         &self.upstream
     }
 
-    /// Strict mode: the last upstream packet's matching set holds only
-    /// packets at or after its timestamp `tₙ₋₁` (delays are
-    /// non-negative, §3.2), so a window ending earlier has an empty set
-    /// and decodes to [`Correlation::unmatched`] under every algorithm,
-    /// size quantum or not. Robust mode has no floor: its gap-tolerant
-    /// sets count the missing tail as erasures, and a prefix decode can
-    /// blow the erasure budget, which the monitor must see.
-    fn decision_floor(&self) -> Option<Timestamp> {
-        if self.cfg.decode.is_robust() {
-            None
-        } else {
-            self.upstream.last().map(|p| p.timestamp())
+    /// Strict mode gates on the earliest chain through the matching
+    /// sets (§3.2). Every strict decode builds the sets first and
+    /// reports [`Correlation::unmatched`] when one is empty, so a chain
+    /// that only asks each set to be non-empty is sound for every
+    /// algorithm, and exact for Greedy, which does nothing else before
+    /// decoding. Phase 1 over all packets (§3.3) also fails exactly
+    /// when the *ordered* chain does: its forward pass leaves each set
+    /// holding the candidates above the previous set's minimum, whose
+    /// minimum is the next link, and once every link exists the
+    /// backward pass keeps each one. So for Greedy+, Optimal and Brute
+    /// Force with [`Phase1Scope::AllPackets`] the gate reads `Complete`
+    /// exactly when the decode is not unmatched. Robust mode is not
+    /// gated: its gap-tolerant sets count the missing tail as erasures,
+    /// and a prefix decode can blow the erasure budget, which the
+    /// monitor must see.
+    fn gate(&self, window: &SlidingWindow, chain: &mut ChainState) -> Gate {
+        let cfg = &self.cfg;
+        if cfg.decode.is_robust() {
+            return Gate::Complete;
         }
+        let rule = ChainRule {
+            delta: cfg.delta,
+            size_quantum: cfg.size_quantum,
+            ordered: !matches!(cfg.algorithm, Algorithm::Greedy)
+                && cfg.phase1_scope == Phase1Scope::AllPackets,
+        };
+        chain.advance(&self.upstream, rule, window)
     }
 
     fn decode(&self, suspicious: &Flow) -> Correlation {

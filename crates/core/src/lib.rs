@@ -78,6 +78,7 @@ pub use outcome::{Algorithm, Correlation};
 // The backend seam, re-exported so monitor-layer crates need only one
 // `stepstone_core` import to select, bind and label backends.
 pub use stepstone_backends::{
-    BackendKind, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend, ElicesConfig,
-    GameBackend, GameConfig, RobustOutcome, StreamState, UnknownBackend, UnknownDecodeMode,
+    BackendKind, ChainState, CorrelatorBackend, DecodeMode, DecodeOptions, ElicesBackend,
+    ElicesConfig, GameBackend, GameConfig, Gate, RobustOutcome, StreamState, UnknownBackend,
+    UnknownDecodeMode,
 };

@@ -317,3 +317,17 @@ fn robust_decode_keeps_rejecting_unrelated_flows() {
         assert!(r.budget_blown, "decoy must exhaust the budget: {r:?}");
     }
 }
+
+#[test]
+#[should_panic(expected = "size quantum must be positive")]
+fn a_zero_size_quantum_is_rejected_at_configuration() {
+    let marker = IpdWatermarker::new(WatermarkKey::new(3), WatermarkParams::paper());
+    let watermark = Watermark::random(24, &mut WatermarkKey::new(3).rng(1));
+    let _ = WatermarkCorrelator::new(
+        marker,
+        watermark,
+        TimeDelta::from_secs(1),
+        Algorithm::GreedyPlus,
+    )
+    .with_size_quantum(0);
+}

@@ -3,8 +3,10 @@
 
 use proptest::prelude::*;
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
-use stepstone_core::{Algorithm, BackendKind, DecodeOptions, WatermarkCorrelator};
-use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
+use stepstone_core::{
+    Algorithm, BackendKind, ChainState, DecodeOptions, Gate, Phase1Scope, WatermarkCorrelator,
+};
+use stepstone_flow::{Flow, Packet, SlidingWindow, TimeDelta, Timestamp};
 use stepstone_traffic::Seed;
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
 
@@ -149,72 +151,115 @@ proptest! {
         }
     }
 
-    /// The decision floor is sound: in strict mode a window whose last
-    /// packet is earlier than the floor decodes to an uncorrelated
-    /// outcome with no Hamming distance and no robust outcome, under
-    /// every algorithm, with or without a size quantum — so the monitor
-    /// may skip it. Robust mode and the passive backends promise no
-    /// floor.
+    /// The decision gate is resumable, sound, and exact where the proof
+    /// says so. Over random flows, every algorithm and phase-1 scope,
+    /// size quantum off (0) or on, and random boundary splits of the
+    /// stream:
+    ///
+    /// - advanced boundary by boundary, the gate equals the gate
+    ///   computed over the same window in one shot;
+    /// - `Pending` or `Unrelated` ⇒ the batch decode of that window is
+    ///   unmatched (no correlation, no Hamming distance, no robust
+    ///   outcome), and for Greedy and for phase 1 over all packets the
+    ///   converse holds too;
+    /// - once `Unrelated`, every longer window decodes unmatched and
+    ///   the gate stays `Unrelated`.
+    ///
+    /// Robust mode and the passive backends are never gated.
     #[test]
-    fn windows_ending_before_the_decision_floor_never_decide(
+    fn the_decision_gate_is_resumable_sound_and_exact(
         flow_seed in 0u64..5000,
         attack_seed in 0u64..5000,
+        size_seed in 0u64..5000,
         delta_s in 1i64..5,
         chaff in 0.0f64..2.0,
         correlated in proptest::bool::ANY,
-        cut in 0.0f64..1.0,
         quantum in 0u32..64,
+        cuts in proptest::collection::vec(0.0f64..1.0, 1..5),
     ) {
+        use rand::Rng;
+
         let original = seeded_flow(flow_seed);
         let marker = IpdWatermarker::new(WatermarkKey::new(flow_seed ^ 77), tiny_params());
         let watermark = Watermark::random(4, &mut WatermarkKey::new(flow_seed).rng(1));
         let marked = marker.embed(&original, &watermark).unwrap();
         let delta = TimeDelta::from_secs(delta_s);
         let base = if correlated { marked.clone() } else { seeded_flow(flow_seed ^ 0xDEAD) };
-        let suspicious = AdversaryPipeline::new()
+        // Every packet here is 64 B; re-size a quarter of them so size
+        // classes can both keep and break links.
+        let mut rng = Seed::new(size_seed).rng(2);
+        let suspicious: Vec<Packet> = AdversaryPipeline::new()
             .then(UniformPerturbation::new(delta))
             .then(ChaffInjector::new(ChaffModel::Poisson { rate: chaff }))
-            .apply(&base, Seed::new(attack_seed));
-        let floor = marked.last().unwrap().timestamp();
-        let before: Vec<Packet> =
-            suspicious.iter().copied().filter(|p| p.timestamp() < floor).collect();
-        if before.is_empty() {
-            return Ok(());
-        }
-        let keep = 1 + ((before.len() - 1) as f64 * cut) as usize;
-        let windows = [
-            Flow::from_packets(before.iter().copied()).unwrap(),
-            Flow::from_packets(before[..keep].iter().copied()).unwrap(),
-        ];
+            .apply(&base, Seed::new(attack_seed))
+            .iter()
+            .map(|p| {
+                let size = if rng.gen_bool(0.75) { 64 } else { rng.gen_range(1..128) };
+                Packet::with_provenance(p.timestamp(), size, p.provenance())
+            })
+            .collect();
+        let mut boundaries: Vec<usize> = cuts
+            .iter()
+            .map(|c| 1 + ((suspicious.len() - 1) as f64 * c) as usize)
+            .chain([suspicious.len()])
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
 
         for alg in [
             Algorithm::Greedy,
             Algorithm::GreedyPlus,
             Algorithm::Optimal { cost_bound: 10_000_000 },
-            Algorithm::BruteForce { cost_bound: 50_000_000 },
+            // The claims concern the matching phases, which run before
+            // any search, so a small search bound keeps this quick.
+            Algorithm::BruteForce { cost_bound: 100_000 },
         ] {
-            let mut cfg = WatermarkCorrelator::new(marker, watermark.clone(), delta, alg);
-            // Quantum 0 leaves the size constraint off.
-            if quantum > 0 {
-                cfg = cfg.with_size_quantum(quantum);
-            }
-            let bound = cfg.bind(&original, &marked).unwrap();
-            prop_assert_eq!(bound.as_backend().decision_floor(), Some(floor));
-            for window in &windows {
-                let out = bound.correlate(window);
-                prop_assert!(!out.correlated, "{alg}: {out}");
-                prop_assert_eq!(out.hamming, None, "{}", alg);
-                prop_assert!(out.robust.is_none(), "{alg}: {out}");
-            }
-            for kind in BackendKind::ALL {
-                for decode in [DecodeOptions::strict(), DecodeOptions::robust(2)] {
-                    if kind == BackendKind::Paper && !decode.is_robust() {
-                        continue;
+            for scope in [Phase1Scope::AllPackets, Phase1Scope::EmbeddingOnly] {
+                let mut cfg = WatermarkCorrelator::new(marker, watermark.clone(), delta, alg)
+                    .with_phase1_scope(scope);
+                if quantum > 0 {
+                    cfg = cfg.with_size_quantum(quantum);
+                }
+                let exact = alg == Algorithm::Greedy || scope == Phase1Scope::AllPackets;
+                let bound = cfg.bind(&original, &marked).unwrap();
+                let backend = bound.as_backend();
+                let mut window = SlidingWindow::new(suspicious.len());
+                let mut chain = ChainState::default();
+                let mut unrelated = false;
+                for &end in &boundaries {
+                    for &p in &suspicious[window.len()..end] {
+                        window.push(p).unwrap();
                     }
-                    let other = cfg
-                        .bind_backend_with(kind, decode, chaff, &original, &marked)
-                        .unwrap();
-                    prop_assert_eq!(other.as_backend().decision_floor(), None, "{:?}", kind);
+                    let gate = backend.gate(&window, &mut chain);
+                    prop_assert_eq!(gate, backend.gate(&window, &mut ChainState::default()));
+                    let out = bound.correlate(&window.snapshot());
+                    let unmatched = !out.correlated && out.hamming.is_none() && out.robust.is_none();
+                    let ctx = format!("{alg} {scope:?} q={quantum} end={end} {gate:?}: {out}");
+                    if gate != Gate::Complete {
+                        prop_assert!(unmatched, "{}", ctx);
+                    }
+                    if exact {
+                        prop_assert_eq!(gate == Gate::Complete, !unmatched, "{}", ctx);
+                    }
+                    if unrelated {
+                        prop_assert_eq!(gate, Gate::Unrelated, "{}", ctx);
+                    }
+                    unrelated |= gate == Gate::Unrelated;
+                }
+                for kind in BackendKind::ALL {
+                    for decode in [DecodeOptions::strict(), DecodeOptions::robust(2)] {
+                        if kind == BackendKind::Paper && !decode.is_robust() {
+                            continue;
+                        }
+                        let other = cfg
+                            .bind_backend_with(kind, decode, chaff, &original, &marked)
+                            .unwrap();
+                        prop_assert_eq!(
+                            other.as_backend().gate(&window, &mut ChainState::default()),
+                            Gate::Complete,
+                            "{:?} {:?}", kind, decode.mode
+                        );
+                    }
                 }
             }
         }

@@ -42,7 +42,7 @@ use stepstone_ingest::{
     IngestError, ReplayClock,
 };
 use stepstone_monitor::{
-    FlowId, Monitor, MonitorConfig, PairId, TerminalKind, UpstreamId, Verdict,
+    FlowId, Monitor, MonitorConfig, MonitorStats, PairId, TerminalKind, UpstreamId, Verdict,
 };
 use stepstone_scenario::{
     fnv1a, Backend, Chaff, ChaosProfile, Decode, Repacketize, ScenarioSpec, Traffic,
@@ -551,6 +551,17 @@ pub fn run_spec(
     spec: &ScenarioSpec,
     threshold: Option<u32>,
 ) -> Result<ScenarioOutcome, ScenarioRunError> {
+    run_spec_with_stats(spec, threshold).map(|(outcome, _)| outcome)
+}
+
+/// [`run_spec`], also returning the monitor's final counters. Under the
+/// deterministic schedule its cost counters — decodes run and skipped,
+/// pairs cleared early — repeat exactly from run to run, like the
+/// verdicts.
+pub fn run_spec_with_stats(
+    spec: &ScenarioSpec,
+    threshold: Option<u32>,
+) -> Result<(ScenarioOutcome, MonitorStats), ScenarioRunError> {
     let mut corpus = build_spec_corpus(spec, threshold, scenario_config())?;
     let mut channel = Channel::new(chaos_plan(spec).as_ref());
     let Ok(delivered) = feed(
@@ -563,14 +574,15 @@ pub fn run_spec(
     );
     let erasures = corpus.channel_erasures + channel.swallowed;
     let report = corpus.monitor.finish();
-    Ok(outcome_from(
+    let outcome = outcome_from(
         spec,
         delivered,
         erasures,
         &report.verdicts,
         None,
         is_true_pair,
-    ))
+    );
+    Ok((outcome, report.stats))
 }
 
 /// Renders the spec's suspicious stream as classic-pcap bytes: each

@@ -38,10 +38,15 @@ const SOAK_SEEDS: [u64; 3] = [44, 116, 225];
 
 /// The soak world: the scale-independent wire corpus, decoding on
 /// every accepted packet once a window fills, so the harsh profile's
-/// per-decode fault rates get plenty of draws.
+/// per-decode fault rates get plenty of draws. It decodes robust: the
+/// harsh wire faults delete packets, so the strict decision gate
+/// proves both pairs unrelated and clears them without a decode —
+/// leaving no decode for a scheduled kill to hit. Robust decodes are
+/// never gated.
 fn soak_spec() -> ScenarioSpec {
     let mut spec = ExperimentConfig::new(Scale::Quick).wire_spec();
     spec.decode_batch = 1;
+    spec.decode = Decode::Robust;
     spec
 }
 

@@ -143,6 +143,15 @@ impl SlidingWindow {
         }
     }
 
+    /// The packet with absolute push index `index` (counting every
+    /// packet ever pushed, as [`pushed`](SlidingWindow::pushed) does),
+    /// or `None` if it was evicted or not pushed yet. Lets a consumer
+    /// resume a scan across pushes and evictions from one integer.
+    pub fn get(&self, index: u64) -> Option<&Packet> {
+        let offset = index.checked_sub(self.evicted)?;
+        self.packets.get(usize::try_from(offset).ok()?)
+    }
+
     /// Iterates over the retained packets, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
         self.packets.iter()
@@ -157,6 +166,22 @@ impl SlidingWindow {
         )]
         let flow = Flow::from_packets(self.packets.iter().copied())
             .expect("window invariant: timestamps are non-decreasing");
+        flow
+    }
+
+    /// [`snapshot`](SlidingWindow::snapshot) for a consumer done with
+    /// the stream: moves the retained packets out instead of copying
+    /// them, reusing the window's buffer, and leaves the window empty
+    /// as [`clear`](SlidingWindow::clear) does.
+    pub fn take_snapshot(&mut self) -> Flow {
+        let packets = Vec::from(std::mem::take(&mut self.packets));
+        self.evicted += packets.len() as u64;
+        #[expect(
+            clippy::expect_used,
+            reason = "push() rejects out-of-order packets, so the retained buffer is always sorted"
+        )]
+        let flow =
+            Flow::from_packets(packets).expect("window invariant: timestamps are non-decreasing");
         flow
     }
 
@@ -190,6 +215,24 @@ mod tests {
     }
 
     #[test]
+    fn get_uses_absolute_push_indices() {
+        let mut w = SlidingWindow::new(3);
+        for i in 0..5 {
+            w.push(p(i as f64)).unwrap();
+        }
+        assert_eq!(w.get(1), None, "evicted");
+        assert_eq!(
+            w.get(2).map(Packet::timestamp),
+            Some(Timestamp::from_secs(2))
+        );
+        assert_eq!(
+            w.get(4).map(Packet::timestamp),
+            Some(Timestamp::from_secs(4))
+        );
+        assert_eq!(w.get(5), None, "not pushed yet");
+    }
+
+    #[test]
     fn rejects_out_of_order_and_stays_unchanged() {
         let mut w = SlidingWindow::new(4);
         w.push(p(1.0)).unwrap();
@@ -217,6 +260,19 @@ mod tests {
         assert_eq!(flow.len(), 3);
         assert_eq!(flow.chaff_count(), 1);
         assert_eq!(flow[1], chaff);
+    }
+
+    #[test]
+    fn take_snapshot_moves_the_packets_out() {
+        let mut w = SlidingWindow::new(2);
+        for i in 0..3 {
+            w.push(p(i as f64)).unwrap();
+        }
+        let copy = w.snapshot();
+        assert_eq!(w.take_snapshot(), copy);
+        assert!(w.is_empty());
+        assert_eq!(w.pushed(), 3);
+        assert_eq!(w.evicted(), 3);
     }
 
     #[test]

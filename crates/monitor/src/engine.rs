@@ -1,12 +1,12 @@
 //! The online correlation engine: registry, shard pool, verdicts.
 
-use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stepstone_core::{BackendKind, BoundCorrelator, Correlation};
-use stepstone_flow::{Flow, Packet, SlidingWindow, Timestamp};
+use stepstone_core::{BackendKind, BoundCorrelator, ChainState, Correlation, Gate};
+use stepstone_flow::{Packet, SlidingWindow, Timestamp};
 use stepstone_telemetry::{span, Registry};
 
 use crate::config::MonitorConfig;
@@ -42,9 +42,12 @@ struct PairState {
     /// Decided-bit confidence of that decode (percent).
     confidence: u8,
     /// A terminal verdict was emitted for the pair — latched
-    /// `Correlated`, shed, or stall-degraded. The pair is done: no more
-    /// scheduling, and the shutdown sweep skips it.
+    /// `Correlated`, cleared early, shed, or stall-degraded. The pair
+    /// is done: no more scheduling, and the shutdown sweep skips it.
     resolved: bool,
+    /// The backend's decision-gate chain through this flow
+    /// (`CorrelatorBackend::gate`), advanced at each due boundary.
+    chain: ChainState,
 }
 
 impl PairState {
@@ -86,30 +89,37 @@ impl PairState {
 /// One tracked suspicious flow.
 struct Suspect {
     window: SlidingWindow,
-    pairs: BTreeMap<UpstreamId, PairState>,
+    /// The flow's pairs, sorted by upstream id. Every flow pairs with
+    /// every upstream, so a flat vector is dense, and scheduling walks
+    /// it in step with the upstream registry instead of searching it.
+    pairs: Vec<(UpstreamId, PairState)>,
+}
+
+impl Suspect {
+    fn pair(&self, upstream: UpstreamId) -> Option<&PairState> {
+        let at = self
+            .pairs
+            .binary_search_by_key(&upstream, |&(id, _)| id)
+            .ok()?;
+        Some(&self.pairs[at].1)
+    }
+
+    fn pair_mut(&mut self, upstream: UpstreamId) -> Option<&mut PairState> {
+        let at = self
+            .pairs
+            .binary_search_by_key(&upstream, |&(id, _)| id)
+            .ok()?;
+        Some(&mut self.pairs[at].1)
+    }
 }
 
 /// One registered upstream: its correlator plus what scheduling needs
 /// from it, computed once at registration.
 struct Watched {
     correlator: Arc<BoundCorrelator>,
-    /// The backend's decision floor: a window whose last packet is
-    /// earlier than this cannot decide, so its decode is skipped (see
-    /// `CorrelatorBackend::decision_floor`).
-    floor: Option<Timestamp>,
     /// The window length a pair needs before decoding
     /// ([`Monitor::min_window_for`]).
     min_window: usize,
-}
-
-impl Watched {
-    /// `true` when `window` ends before the decision floor, so
-    /// decoding it would provably yield an uncorrelated outcome with no
-    /// Hamming distance — exactly what a pair that is never decoded
-    /// reports.
-    fn cannot_decide(&self, window: &SlidingWindow) -> bool {
-        matches!((self.floor, window.last_timestamp()), (Some(floor), Some(last)) if last < floor)
-    }
 }
 
 /// The final report returned by [`Monitor::finish`].
@@ -141,6 +151,10 @@ struct Control {
     /// pairs between drains; all growth is audited through `emit`.
     // #[bounded(via = "emit")]
     verdicts: VecDeque<Verdict>,
+    /// Pairs with a queued or running decode, orphans included. Kept in
+    /// step with every `in_flight` flip, so the shutdown drain waits on
+    /// a count instead of scanning every pair.
+    in_flight: usize,
     clock: Option<Timestamp>,
     /// Engine counters live in the telemetry registry; `Control`
     /// increments these pre-resolved handles and
@@ -156,6 +170,7 @@ impl Control {
             orphans: HashMap::new(),
             backends: BTreeMap::new(),
             verdicts: VecDeque::new(),
+            in_flight: 0,
             clock: None,
             metrics,
         }
@@ -185,7 +200,7 @@ impl Control {
         while self
             .suspects
             .get(&pair.flow)
-            .and_then(|s| s.pairs.get(&pair.upstream))
+            .and_then(|s| s.pair(pair.upstream))
             .is_some_and(|state| state.in_flight)
         {
             match done_rx.recv_timeout(Duration::from_millis(1)) {
@@ -214,14 +229,17 @@ impl Control {
                 if let Some(state) = self
                     .suspects
                     .get_mut(&pair.flow)
-                    .and_then(|s| s.pairs.get_mut(&pair.upstream))
+                    .and_then(|s| s.pair_mut(pair.upstream))
                 {
                     // The pair gets another chance: new packets (or the
                     // shutdown flush) schedule a fresh decode.
-                    state.in_flight = false;
+                    if std::mem::take(&mut state.in_flight) {
+                        self.in_flight -= 1;
+                    }
                 } else if self.orphans.remove(&pair).is_some() {
                     // Evicted mid-decode and the decode died with its
                     // worker: degraded is the terminal word.
+                    self.in_flight -= 1;
                     self.emit(Verdict::Degraded {
                         pair,
                         reason: DegradeReason::WorkerLost,
@@ -235,14 +253,16 @@ impl Control {
     fn absorb(&mut self, done: Completion) {
         let Completion { pair, outcome } = done;
         let state = match self.suspects.get_mut(&pair.flow) {
-            Some(s) => s.pairs.get_mut(&pair.upstream),
+            Some(s) => s.pair_mut(pair.upstream),
             None => None,
         };
         if let Some(r) = outcome.robust {
             self.metrics.decode_erasures.add(u64::from(r.erasures));
         }
         if let Some(state) = state {
-            state.in_flight = false;
+            if std::mem::take(&mut state.in_flight) {
+                self.in_flight -= 1;
+            }
             state.decodes += 1;
             state.last_hamming = outcome.hamming;
             state.note_robust(&outcome);
@@ -261,6 +281,7 @@ impl Control {
             // The flow was evicted mid-decode: this completion is
             // the pair's terminal word. (The pair left the active
             // gauge when its flow was evicted.)
+            self.in_flight -= 1;
             state.decodes += 1;
             state.last_hamming = outcome.hamming;
             state.note_robust(&outcome);
@@ -277,13 +298,70 @@ impl Control {
         }
     }
 
-    /// `true` while any pair still has a queued or running decode.
-    fn any_in_flight(&self) -> bool {
-        !self.orphans.is_empty()
-            || self
-                .suspects
-                .values()
-                .any(|s| s.pairs.values().any(|p| p.in_flight))
+    /// Books a decode job a shard queue accepted for `pair`, covering
+    /// its flow through push count `pushed`.
+    fn launched(&mut self, pair: PairId, pushed: u64) {
+        self.metrics.decodes_scheduled.inc();
+        if let Some(state) = self
+            .suspects
+            .get_mut(&pair.flow)
+            .and_then(|s| s.pair_mut(pair.upstream))
+        {
+            if !state.in_flight {
+                self.in_flight += 1;
+            }
+            state.in_flight = true;
+            state.decoded_through = pushed;
+        }
+    }
+
+    /// Emits a terminal `Degraded` verdict for a live, unresolved pair.
+    fn degrade_pair(&mut self, pair: PairId, reason: DegradeReason) {
+        let Some(state) = self
+            .suspects
+            .get_mut(&pair.flow)
+            .and_then(|s| s.pair_mut(pair.upstream))
+        else {
+            return;
+        };
+        if state.resolved {
+            return;
+        }
+        state.resolved = true;
+        self.metrics.pairs_active.dec();
+        if matches!(reason, DegradeReason::Shed) {
+            self.metrics.pairs_shed.inc();
+        }
+        self.emit(Verdict::Degraded { pair, reason });
+    }
+
+    /// Sheds the lowest-priority pair — unresolved, not in flight, and
+    /// with the fewest packets in its flow window (ties broken by pair
+    /// id for determinism) — emitting a terminal `Degraded` verdict.
+    /// No-op if every pair is resolved or mid-decode.
+    fn shed_lowest_priority(&mut self) {
+        let mut victim: Option<(usize, FlowId, UpstreamId)> = None;
+        for (&flow, suspect) in &self.suspects {
+            let len = suspect.window.len();
+            for &(upstream, ref state) in &suspect.pairs {
+                if state.resolved || state.in_flight {
+                    continue;
+                }
+                let better = match victim {
+                    None => true,
+                    Some((best_len, best_flow, best_upstream)) => {
+                        len < best_len
+                            || (len == best_len && (flow, upstream) < (best_flow, best_upstream))
+                    }
+                };
+                if better {
+                    victim = Some((len, flow, upstream));
+                }
+            }
+        }
+        if let Some((_, flow, upstream)) = victim {
+            self.degrade_pair(PairId { upstream, flow }, DegradeReason::Shed);
+        }
     }
 
     /// The single choke point through which the verdict queue grows.
@@ -432,7 +510,6 @@ impl Monitor {
     pub fn register_upstream(&mut self, id: UpstreamId, correlator: BoundCorrelator) {
         self.control.backends.insert(id, correlator.backend());
         let watched = Watched {
-            floor: correlator.as_backend().decision_floor(),
             min_window: self.min_window_for(&correlator),
             correlator: Arc::new(correlator),
         };
@@ -454,6 +531,7 @@ impl Monitor {
             _ => packet.timestamp(),
         });
         let window_capacity = self.config.window_capacity;
+        let upstreams = self.upstreams.len();
         // `metrics` and `suspects` are disjoint fields of `control`,
         // so the closure can bump the gauge exactly when the entry is
         // inserted — no second map lookup on the hot path.
@@ -462,7 +540,8 @@ impl Monitor {
             metrics.flows_active.inc();
             Suspect {
                 window: SlidingWindow::new(window_capacity),
-                pairs: BTreeMap::new(),
+                // The flow pairs with every upstream on this packet.
+                pairs: Vec::with_capacity(upstreams),
             }
         });
         if suspect.window.push(packet).is_err() {
@@ -558,8 +637,18 @@ impl Monitor {
             self.control
                 .suspects
                 .values()
-                .map(|s| s.pairs.values().filter(|p| !p.resolved).count())
+                .map(|s| s.pairs.iter().filter(|(_, p)| !p.resolved).count())
                 .sum::<usize>()
+        );
+        debug_assert_eq!(
+            self.control.in_flight,
+            self.control.orphans.len()
+                + self
+                    .control
+                    .suspects
+                    .values()
+                    .map(|s| s.pairs.iter().filter(|(_, p)| p.in_flight).count())
+                    .sum::<usize>()
         );
         MonitorStats {
             packets_ingested: m.packets_ingested.get(),
@@ -568,6 +657,7 @@ impl Monitor {
             flows_evicted: m.flows_evicted.get(),
             pairs_active,
             pairs_latched: m.pairs_latched.get(),
+            pairs_cleared_early: m.pairs_cleared_early.get(),
             decodes_scheduled: m.decodes_scheduled.get(),
             decodes_run: m.decodes_run.get(),
             decodes_skipped: m.decodes_skipped.get(),
@@ -607,30 +697,34 @@ impl Monitor {
         // respawned without backoff, and a stalled shard's pairs are
         // abandoned as `Degraded` once the grace period lapses.
         let drain_started = Instant::now();
-        loop {
-            self.control.pump(&self.done_rx, &mut self.supervisor);
-            self.supervisor.respawn_due(true);
-            if !self.control.any_in_flight() {
-                break;
+        while self.control.in_flight > 0 {
+            match self.done_rx.recv_timeout(Duration::from_millis(1)) {
+                Ok(event) => self.control.handle(event, &mut self.supervisor),
+                Err(RecvTimeoutError::Timeout) => {}
+                // The supervisor holds a sender for the engine's life;
+                // without one no completion can ever arrive.
+                Err(RecvTimeoutError::Disconnected) => break,
             }
+            self.supervisor.respawn_due(true);
             if let Some(timeout) = self.config.stall_timeout {
                 if self.supervisor.any_stalled() && drain_started.elapsed() > timeout * 2 {
                     self.abandon_stalled();
                 }
             }
-            std::thread::yield_now();
         }
         // Final decode for every unresolved pair that has data beyond
-        // its last decode (or was never decoded at all). A window that
-        // ends before its upstream's decision floor is skipped, as at a
-        // boundary, and its pair falls through to the terminal sweep.
+        // its last decode (or was never decoded at all). The flow is
+        // complete now, so a gate that is not `Complete` means the pair
+        // is unrelated: its decode is skipped, as at a boundary, and
+        // the pair falls through to the terminal sweep.
         let flows: Vec<FlowId> = self.control.suspects.keys().copied().collect();
         for flow in flows {
-            let Some(suspect) = self.control.suspects.get(&flow) else {
+            let Some(suspect) = self.control.suspects.get_mut(&flow) else {
                 continue;
             };
             let mut jobs = Vec::new();
-            for (&upstream, state) in &suspect.pairs {
+            for (upstream, state) in &mut suspect.pairs {
+                let upstream = *upstream;
                 let Some(watched) = self.upstreams.get(&upstream) else {
                     continue;
                 };
@@ -641,7 +735,8 @@ impl Monitor {
                 {
                     continue;
                 }
-                if watched.cannot_decide(&suspect.window) {
+                let backend = watched.correlator.as_backend();
+                if backend.gate(&suspect.window, &mut state.chain) != Gate::Complete {
                     self.control.metrics.decodes_skipped.inc();
                     continue;
                 }
@@ -650,18 +745,20 @@ impl Monitor {
             if jobs.is_empty() {
                 continue;
             }
-            // One snapshot serves every upstream's job for this flow:
-            // the pump below absorbs completions but never touches a
-            // window.
-            let window = Arc::new(suspect.window.snapshot());
+            // One snapshot serves every upstream's job for this flow.
+            // The flow is complete and nothing reads its window again,
+            // so the snapshot takes the window's buffer rather than
+            // copying it: a flush that decodes many flows at once then
+            // needs no new memory for their windows.
             let pushed = suspect.window.pushed();
+            let window = Arc::new(suspect.window.take_snapshot());
             for (upstream, correlator) in jobs {
                 let pair = PairId { upstream, flow };
                 let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
                 if self.supervisor.is_stalled(shard) {
                     // Scheduling onto a wedged shard would hang the
                     // flush; degraded is the honest terminal word.
-                    self.degrade_pair(pair, DegradeReason::Stalled);
+                    self.control.degrade_pair(pair, DegradeReason::Stalled);
                     continue;
                 }
                 let job = DecodeJob {
@@ -684,16 +781,7 @@ impl Monitor {
                     .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
                     .is_ok();
                 if accepted {
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
+                    self.control.launched(pair, pushed);
                 }
                 // A push error means the shard's receiver is gone —
                 // impossible while the supervisor holds it, but if it
@@ -715,7 +803,7 @@ impl Monitor {
         // deterministic (flow, upstream) order.
         let mut remaining: Vec<(FlowId, UpstreamId, PairState)> = Vec::new();
         for (&flow, suspect) in &self.control.suspects {
-            for (&upstream, state) in &suspect.pairs {
+            for &(upstream, ref state) in &suspect.pairs {
                 if !state.resolved {
                     remaining.push((flow, upstream, state.clone()));
                 }
@@ -744,7 +832,7 @@ impl Monitor {
         let shard_count = self.shards.len() as u64;
         let mut victims: Vec<PairId> = Vec::new();
         for (&flow, suspect) in &self.control.suspects {
-            for (&upstream, state) in &suspect.pairs {
+            for &(upstream, ref state) in &suspect.pairs {
                 let pair = PairId { upstream, flow };
                 let shard = (pair.shard_hash() % shard_count) as usize;
                 if state.in_flight && !state.resolved && self.supervisor.is_stalled(shard) {
@@ -757,9 +845,11 @@ impl Monitor {
                 .control
                 .suspects
                 .get_mut(&pair.flow)
-                .and_then(|s| s.pairs.get_mut(&pair.upstream))
+                .and_then(|s| s.pair_mut(pair.upstream))
             {
-                state.in_flight = false;
+                if std::mem::take(&mut state.in_flight) {
+                    self.control.in_flight -= 1;
+                }
                 state.resolved = true;
             }
             self.control.metrics.pairs_active.dec();
@@ -780,32 +870,12 @@ impl Monitor {
             .collect();
         for pair in orphaned {
             self.control.orphans.remove(&pair);
+            self.control.in_flight -= 1;
             self.control.emit(Verdict::Degraded {
                 pair,
                 reason: DegradeReason::Stalled,
             });
         }
-    }
-
-    /// Emits a terminal `Degraded` verdict for a live, unresolved pair.
-    fn degrade_pair(&mut self, pair: PairId, reason: DegradeReason) {
-        let Some(state) = self
-            .control
-            .suspects
-            .get_mut(&pair.flow)
-            .and_then(|s| s.pairs.get_mut(&pair.upstream))
-        else {
-            return;
-        };
-        if state.resolved {
-            return;
-        }
-        state.resolved = true;
-        self.control.metrics.pairs_active.dec();
-        if matches!(reason, DegradeReason::Shed) {
-            self.control.metrics.pairs_shed.inc();
-        }
-        self.control.emit(Verdict::Degraded { pair, reason });
     }
 
     /// The window size a pair needs before decoding is worthwhile: a
@@ -835,30 +905,42 @@ impl Monitor {
     /// and the pair retries on a later packet. Sustained drop streaks
     /// trip the load-shedding policy, if enabled.
     ///
-    /// A due window that ends before its upstream's decision floor is
-    /// not decoded: the boundary is marked covered and counted in
-    /// `decodes_skipped`. Every decoded window shares one snapshot of
-    /// the flow's window, taken at most once per call.
+    /// A due window first advances the pair's decision gate. A window
+    /// that cannot decide is not decoded: the boundary is marked
+    /// covered and counted in `decodes_skipped`. A pair the gate proves
+    /// unrelated is resolved `Cleared` on the spot and counted in
+    /// `pairs_cleared_early`. Every decoded window shares one snapshot
+    /// of the flow's window, taken at most once per call.
+    ///
+    /// The gates run in a first pass under a single lookup of the flow;
+    /// only the pairs whose window can decide reach the second pass,
+    /// which queues them.
     fn schedule_pairs(&mut self, flow: FlowId) {
-        let upstream_ids: Vec<UpstreamId> = self.upstreams.keys().copied().collect();
-        let mut snapshot: Option<Arc<Flow>> = None;
-        for upstream in upstream_ids {
-            let Some(watched) = self.upstreams.get(&upstream) else {
-                continue;
-            };
-            let Some(suspect) = self.control.suspects.get_mut(&flow) else {
-                return;
-            };
-            let state = match suspect.pairs.entry(upstream) {
-                btree_map::Entry::Vacant(entry) => {
-                    // A fresh pair enters the active gauge (PairState
-                    // defaults to unresolved).
-                    self.control.metrics.pairs_active.inc();
-                    entry.insert(PairState::default())
-                }
-                btree_map::Entry::Occupied(entry) => entry.into_mut(),
-            };
-            let pushed = suspect.window.pushed();
+        // First pass, under one lookup of the flow: advance every due
+        // pair's gate and collect the pairs whose window can decide.
+        // Nothing here touches the worker side, so the flow's entry
+        // stays borrowed throughout; both collections stay empty, and
+        // unallocated, on the packets that decide nothing.
+        let Some(suspect) = self.control.suspects.get_mut(&flow) else {
+            return;
+        };
+        let pushed = suspect.window.pushed();
+        let mut due: Vec<(PairId, Arc<BoundCorrelator>)> = Vec::new();
+        let mut cleared: Vec<Verdict> = Vec::new();
+        // Both the registry and the flow's pairs are sorted by upstream
+        // id, so the pair of the k-th upstream is at `slot` or missing.
+        for (slot, (&upstream, watched)) in self.upstreams.iter().enumerate() {
+            if suspect
+                .pairs
+                .get(slot)
+                .is_none_or(|&(id, _)| id != upstream)
+            {
+                // A fresh pair enters the active gauge (PairState
+                // defaults to unresolved).
+                self.control.metrics.pairs_active.inc();
+                suspect.pairs.insert(slot, (upstream, PairState::default()));
+            }
+            let state = &mut suspect.pairs[slot].1;
             if state.resolved
                 || (state.in_flight && !self.config.deterministic_schedule)
                 || suspect.window.len() < watched.min_window
@@ -866,17 +948,52 @@ impl Monitor {
             {
                 continue;
             }
-            if watched.cannot_decide(&suspect.window) {
-                // Advance the boundary grid exactly as a decode would,
-                // so every window still decoded is the same window.
-                state.decoded_through = pushed;
-                self.control.metrics.decodes_skipped.inc();
+            let pair = PairId { upstream, flow };
+            match watched
+                .correlator
+                .as_backend()
+                .gate(&suspect.window, &mut state.chain)
+            {
+                Gate::Complete => due.push((pair, Arc::clone(&watched.correlator))),
+                gate => {
+                    // Advance the boundary grid exactly as a decode
+                    // would, so every window still decoded is the same
+                    // window.
+                    state.decoded_through = pushed;
+                    if gate == Gate::Pending {
+                        self.control.metrics.decodes_skipped.inc();
+                    } else {
+                        state.resolved = true;
+                        self.control.metrics.pairs_active.dec();
+                        self.control.metrics.pairs_cleared_early.inc();
+                        cleared.push(state.terminal_negative(pair));
+                    }
+                }
+            }
+        }
+        // Every decoded window shares one snapshot of the flow.
+        let snapshot = (!due.is_empty()).then(|| Arc::new(suspect.window.snapshot()));
+        for verdict in cleared {
+            self.control.emit(verdict);
+        }
+        let Some(snapshot) = snapshot else {
+            return;
+        };
+        // Second pass: queue the collected decodes.
+        for (pair, correlator) in due {
+            let Some(state) = self
+                .control
+                .suspects
+                .get(&flow)
+                .and_then(|s| s.pair(pair.upstream))
+            else {
+                continue;
+            };
+            if state.resolved {
+                // Resolved while an earlier pair was queued: shed, or
+                // latched by a completion a queue pump absorbed.
                 continue;
             }
-            let pair = PairId { upstream, flow };
-            let correlator = Arc::clone(&watched.correlator);
-            let window =
-                Arc::clone(snapshot.get_or_insert_with(|| Arc::new(suspect.window.snapshot())));
             if state.in_flight {
                 // Deterministic mode keeps at most one job per pair
                 // outstanding: wait for the previous decode to land,
@@ -889,7 +1006,7 @@ impl Monitor {
                     .control
                     .suspects
                     .get(&flow)
-                    .and_then(|s| s.pairs.get(&upstream))
+                    .and_then(|s| s.pair(pair.upstream))
                     .is_none_or(|state| state.resolved);
                 if resolved {
                     continue;
@@ -898,7 +1015,7 @@ impl Monitor {
             let job = DecodeJob {
                 pair,
                 correlator,
-                window,
+                window: Arc::clone(&snapshot),
             };
             let shard = (pair.shard_hash() % self.shards.len() as u64) as usize;
             if self.config.deterministic_schedule {
@@ -916,32 +1033,14 @@ impl Monitor {
                     .push_blocking(job, || control.pump(done_rx, &mut *supervisor))
                     .is_ok();
                 if accepted {
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
+                    self.control.launched(pair, pushed);
                 }
                 continue;
             }
             match self.shards[shard].try_push(job) {
                 Ok(()) => {
                     self.drop_streak = 0;
-                    self.control.metrics.decodes_scheduled.inc();
-                    if let Some(state) = self
-                        .control
-                        .suspects
-                        .get_mut(&flow)
-                        .and_then(|s| s.pairs.get_mut(&upstream))
-                    {
-                        state.in_flight = true;
-                        state.decoded_through = pushed;
-                    }
+                    self.control.launched(pair, pushed);
                 }
                 Err(_) => {
                     // The drop is already counted by the shard queue;
@@ -952,40 +1051,11 @@ impl Monitor {
                     if let Some(limit) = self.config.shed_after_drops {
                         if self.drop_streak >= limit {
                             self.drop_streak = 0;
-                            self.shed_lowest_priority();
+                            self.control.shed_lowest_priority();
                         }
                     }
                 }
             }
-        }
-    }
-
-    /// Sheds the lowest-priority pair — unresolved, not in flight, and
-    /// with the fewest packets in its flow window (ties broken by pair
-    /// id for determinism) — emitting a terminal `Degraded` verdict.
-    /// No-op if every pair is resolved or mid-decode.
-    fn shed_lowest_priority(&mut self) {
-        let mut victim: Option<(usize, FlowId, UpstreamId)> = None;
-        for (&flow, suspect) in &self.control.suspects {
-            let len = suspect.window.len();
-            for (&upstream, state) in &suspect.pairs {
-                if state.resolved || state.in_flight {
-                    continue;
-                }
-                let better = match victim {
-                    None => true,
-                    Some((best_len, best_flow, best_upstream)) => {
-                        len < best_len
-                            || (len == best_len && (flow, upstream) < (best_flow, best_upstream))
-                    }
-                };
-                if better {
-                    victim = Some((len, flow, upstream));
-                }
-            }
-        }
-        if let Some((_, flow, upstream)) = victim {
-            self.degrade_pair(PairId { upstream, flow }, DegradeReason::Shed);
         }
     }
 }

@@ -32,12 +32,14 @@ pub(crate) struct EngineMetrics {
     pub pairs_active: Arc<Gauge>,
     /// Pairs latched with a `Correlated` verdict.
     pub pairs_latched: Arc<Counter>,
+    /// Pairs the decision gate resolved `Cleared` in stream time.
+    pub pairs_cleared_early: Arc<Counter>,
     /// Decode jobs accepted onto a shard queue.
     pub decodes_scheduled: Arc<Counter>,
     /// Decode jobs completed by workers.
     pub decodes_run: Arc<Counter>,
-    /// Due decodes not run because the window ended before the
-    /// upstream's decision floor.
+    /// Due decodes not run because the decision gate showed the window
+    /// cannot decide.
     pub decodes_skipped: Arc<Counter>,
     /// Decode panics caught in worker threads.
     pub worker_panics: Arc<Counter>,
@@ -99,6 +101,10 @@ impl EngineMetrics {
                 "monitor_pairs_latched_total",
                 "Pairs latched with a Correlated verdict",
             ),
+            pairs_cleared_early: r.counter(
+                "monitor_pairs_cleared_early_total",
+                "Pairs the decision gate proved unrelated and cleared before the flush",
+            ),
             // conserve(decode_ledger): decodes_scheduled = decodes_run + jobs_lost
             decodes_scheduled: r.counter(
                 "monitor_decodes_scheduled_total",
@@ -110,7 +116,7 @@ impl EngineMetrics {
             ),
             decodes_skipped: r.counter(
                 "monitor_decodes_skipped_total",
-                "Due decodes skipped because the window ended before the upstream's decision floor",
+                "Due decodes skipped because the decision gate showed the window cannot decide",
             ),
             worker_panics: r.counter(
                 "monitor_worker_panics_total",

@@ -27,13 +27,17 @@ pub struct MonitorStats {
     pub pairs_active: usize,
     /// Pairs latched with a `Correlated` verdict.
     pub pairs_latched: u64,
+    /// Pairs resolved `Cleared` before the flush because the decision
+    /// gate proved them unrelated: no window of the flow, now or later,
+    /// can decide, so the pair needs no decode at all.
+    pub pairs_cleared_early: u64,
     /// Decode jobs accepted onto a shard queue.
     pub decodes_scheduled: u64,
     /// Decode jobs completed by workers.
     pub decodes_run: u64,
-    /// Due decodes not run because the window ended before the
-    /// upstream's decision floor: such a window provably cannot
-    /// correlate, so skipping it changes no verdict.
+    /// Due decodes not run because the decision gate showed the window
+    /// cannot decide: its decode is provably unmatched, so skipping it
+    /// changes no verdict.
     pub decodes_skipped: u64,
     /// Decode attempts dropped because the target shard queue was full
     /// (backpressure; the pair retries as more packets arrive).
@@ -91,12 +95,12 @@ impl fmt::Display for MonitorStats {
         )?;
         writeln!(
             f,
-            "pairs:   {} active, {} latched",
-            self.pairs_active, self.pairs_latched
+            "pairs:   {} active, {} latched, {} cleared early",
+            self.pairs_active, self.pairs_latched, self.pairs_cleared_early
         )?;
         writeln!(
             f,
-            "decodes: {} scheduled, {} run, {} skipped (before floor), {} dropped (backpressure), {} panicked",
+            "decodes: {} scheduled, {} run, {} skipped (cannot decide), {} dropped (backpressure), {} panicked",
             self.decodes_scheduled,
             self.decodes_run,
             self.decodes_skipped,

@@ -205,13 +205,13 @@ fn undersized_flow_clears_without_decoding() {
     );
 }
 
-/// Strict decoding has a decision floor — the upstream's last
-/// timestamp: a window ending earlier leaves the last upstream packet
-/// without a match and cannot correlate. A decoy long enough to pass
-/// the window gate but ending before the upstream is therefore never
-/// decoded, its skipped boundaries are counted, and its pair still ends
-/// `Cleared`. Robust decoding has no floor, so the same flows are
-/// decoded there.
+/// Strict decoding is gated on the earliest order-consistent chain
+/// through the matching sets: a decoy long enough to pass the window
+/// gate but ending before the upstream can never link the last
+/// upstream packet. Spread evenly over the upstream's bursty span, it
+/// breaks the chain at the first due boundary, so the pair is cleared
+/// there, in stream time, without a single decode. Robust decoding is
+/// not gated, so the same flows are decoded there.
 #[test]
 fn decoy_ending_before_the_upstream_is_skipped_only_in_strict_mode() {
     use stepstone_core::{BackendKind, DecodeOptions};
@@ -252,7 +252,7 @@ fn decoy_ending_before_the_upstream_is_skipped_only_in_strict_mode() {
         let stats = &report.stats;
         assert_eq!(stats.decodes_run, 0, "{stats}");
         assert_eq!(stats.decodes_scheduled, 0, "{stats}");
-        assert!(stats.decodes_skipped > 0, "{stats}");
+        assert_eq!(stats.pairs_cleared_early, 1, "{stats}");
         assert_eq!(
             report
                 .verdicts
@@ -283,6 +283,7 @@ fn decoy_ending_before_the_upstream_is_skipped_only_in_strict_mode() {
         let report = monitor.finish();
         assert!(report.stats.decodes_run > 0, "{}", report.stats);
         assert_eq!(report.stats.decodes_skipped, 0, "{}", report.stats);
+        assert_eq!(report.stats.pairs_cleared_early, 0, "{}", report.stats);
         assert_one_terminal_verdict_per_pair(&report.verdicts, 1);
     }
 }

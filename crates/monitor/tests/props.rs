@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::{Rng, RngCore};
 use stepstone_adversary::{AdversaryPipeline, ChaffInjector, ChaffModel, UniformPerturbation};
 use stepstone_core::{Algorithm, BackendKind, WatermarkCorrelator};
-use stepstone_flow::{Flow, TimeDelta, Timestamp};
+use stepstone_flow::{Flow, Packet, TimeDelta, Timestamp};
 use stepstone_monitor::{FlowId, Monitor, MonitorConfig, PairId, UpstreamId, Verdict};
 use stepstone_traffic::Seed;
 use stepstone_watermark::{IpdWatermarker, Watermark, WatermarkKey, WatermarkParams};
@@ -107,13 +107,12 @@ proptest! {
         }
         let report = monitor.finish();
 
-        // The one flush decode runs only for a window reaching the
-        // upstream's last timestamp (the strict decision floor); an
-        // earlier-ending window is skipped, and its batch decode above
-        // is the unmatched outcome the skip stands for.
-        let floor = marked.last().unwrap().timestamp();
-        let reaches = |flow: &Flow| u32::from(flow.last().unwrap().timestamp() >= floor);
-        let expected_decodes = [reaches(&downstream), reaches(&decoy)];
+        // The one flush decode runs only when the decision gate finds a
+        // complete order-consistent chain — for Greedy+ with phase 1
+        // over all packets, exactly when the batch decode above is not
+        // unmatched. A skipped window's batch decode is the unmatched
+        // outcome the skip stands for.
+        let expected_decodes = expected.each_ref().map(|e| u32::from(e.hamming.is_some()));
         for (k, expect) in expected.iter().enumerate() {
             let pair = PairId { upstream: UpstreamId(0), flow: FlowId(k as u64) };
             let verdicts: Vec<&Verdict> =
@@ -136,6 +135,7 @@ proptest! {
         let run: u32 = expected_decodes.iter().sum();
         prop_assert_eq!(report.stats.decodes_run, u64::from(run));
         prop_assert_eq!(report.stats.decodes_skipped, u64::from(2 - run));
+        prop_assert_eq!(report.stats.pairs_cleared_early, 0, "no boundary before the flush");
         prop_assert_eq!(report.stats.packets_ingested,
             (downstream.len() + decoy.len()) as u64);
     }
@@ -204,5 +204,110 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Eviction meets the decision gate: with windows smaller than the
+    /// flows, the gate's chain runs over absolute push counts while
+    /// each decode sees only the retained packets. Under the
+    /// deterministic schedule the engine's verdicts must equal what
+    /// batch decodes of every boundary window — computed here from the
+    /// configuration alone — say: a pair correlates iff some boundary
+    /// window does, with the first such window's Hamming distance.
+    #[test]
+    fn gated_verdicts_match_batch_decodes_of_evicting_windows(
+        flow_seed in 0u64..5000,
+        attack_seed in 0u64..5000,
+        interleave_seed in 0u64..5000,
+        chaff in 0.0f64..2.0,
+        spare in 0.0f64..1.0,
+        decode_batch in 1usize..160,
+    ) {
+        let original = seeded_flow(flow_seed);
+        let marker = IpdWatermarker::new(WatermarkKey::new(flow_seed ^ 77), tiny_params());
+        let watermark = Watermark::random(4, &mut WatermarkKey::new(flow_seed).rng(1));
+        let marked = marker.embed(&original, &watermark).unwrap();
+        // A mild perturbation within Δ, so relays usually correlate
+        // and both verdict kinds come up.
+        let delta = TimeDelta::from_secs(1);
+        let attack = |base: &Flow, seed: u64| {
+            AdversaryPipeline::new()
+                .then(UniformPerturbation::new(TimeDelta::from_millis(200)))
+                .then(ChaffInjector::new(ChaffModel::Poisson { rate: chaff }))
+                .apply(base, Seed::new(seed))
+        };
+        // The relay opens with 100 chaff packets before the upstream's
+        // first packet, which eviction can take before the gate sees
+        // them, and trails 200 more, so a window holding the whole
+        // relayed part can still be well short of the flow.
+        let relay = attack(&marked, attack_seed);
+        let first = marked.first().unwrap().timestamp().as_micros();
+        let lead = (0..100).map(|i| Packet::chaff(Timestamp::from_micros(i * first / 100), 64));
+        let last = relay.last().unwrap().timestamp();
+        let tail = (1..=200).map(|i| Packet::chaff(last + TimeDelta::from_millis(250 * i), 64));
+        let flows = [
+            Flow::from_packets(lead.chain(relay.iter().copied()).chain(tail)).unwrap(),
+            attack(&seeded_flow(flow_seed ^ 0xDEAD), attack_seed ^ 1),
+        ];
+        let correlator =
+            WatermarkCorrelator::new(marker, watermark.clone(), delta, Algorithm::GreedyPlus);
+        let prepared = correlator.prepare(&original, &marked).unwrap();
+        // At least the upstream's length, so windows can still hold a
+        // complete matching, and short of the relay's length.
+        let n = marked.len();
+        let capacity = n + ((flows[0].len() - n) as f64 * spare) as usize;
+
+        let mut monitor = Monitor::new(
+            MonitorConfig::default()
+                .with_window_capacity(capacity)
+                .with_decode_batch(decode_batch)
+                .with_deterministic_schedule(),
+        );
+        monitor.register_upstream(UpstreamId(0), correlator.bind(&original, &marked).unwrap());
+        let mut verdicts = Vec::new();
+        for (flow, packet) in interleave(&flows[0], &flows[1], interleave_seed) {
+            prop_assert!(monitor.ingest(flow, packet));
+            verdicts.extend(monitor.drain_verdicts());
+        }
+        let report = monitor.finish();
+        verdicts.extend(report.verdicts);
+
+        for (k, flow) in flows.iter().enumerate() {
+            // The boundary grid: due once the window holds n packets
+            // and `decode_batch` arrived since the last boundary, plus
+            // the flush's window over whatever is left.
+            let mut ends = Vec::new();
+            let mut covered = 0;
+            for pushed in 1..=flow.len() {
+                if pushed.min(capacity) >= n && pushed - covered >= decode_batch {
+                    ends.push(pushed);
+                    covered = pushed;
+                }
+            }
+            if covered < flow.len() && flow.len().min(capacity) >= n {
+                ends.push(flow.len());
+            }
+            let first = ends.iter().find_map(|&end| {
+                let window = Flow::from_packets(
+                    flow.packets()[end.saturating_sub(capacity)..end].iter().copied(),
+                )
+                .unwrap();
+                Some(prepared.correlate(&window)).filter(|c| c.correlated)
+            });
+            let pair = PairId { upstream: UpstreamId(0), flow: FlowId(k as u64) };
+            let mine: Vec<&Verdict> = verdicts.iter().filter(|v| v.pair() == Some(pair)).collect();
+            prop_assert_eq!(mine.len(), 1, "one terminal verdict per pair");
+            match (mine[0], &first) {
+                (Verdict::Correlated { hamming, .. }, Some(batch)) => {
+                    prop_assert_eq!(Some(*hamming), batch.hamming);
+                }
+                (Verdict::Cleared { .. }, None) => {}
+                (verdict, batch) => prop_assert!(
+                    false,
+                    "flow {k}, capacity {capacity}, batch {decode_batch}: engine {verdict:?}, \
+                     first correlating boundary window {batch:?}"
+                ),
+            }
+        }
+        prop_assert!(report.stats.conservation_holds(), "{}", report.stats);
     }
 }

@@ -252,8 +252,8 @@ fn sleepy_workers_with_watchdog_still_terminate() {
 fn sustained_backpressure_sheds_the_smallest_pair() {
     // One shard, a one-slot queue, slow decodes, and a *short* upstream
     // (24 packets), so every suspicious flow starts attempting a decode
-    // per packet as soon as its window holds 24. Interleaving three
-    // long flows keeps several pairs competing for the single queue
+    // per packet as soon as its window covers the upstream. Interleaving
+    // three long flows keeps several pairs competing for the single queue
     // slot while the worker sleeps — the drop streak is guaranteed to
     // pass the shed threshold, and the smallest-window pair (a 12-packet
     // decoy that can never reach min_window) is the designated victim.
@@ -285,8 +285,19 @@ fn sustained_backpressure_sheds_the_smallest_pair() {
     for &packet in decoy.packets() {
         monitor.ingest(FlowId(900), packet);
     }
-    // Three long suspicious flows, interleaved packet by packet.
-    let suspects: Vec<Flow> = (0..3).map(|i| seeded_flow(600 + i, 80)).collect();
+    // Three long suspicious flows, interleaved packet by packet. Each
+    // is dense enough (60 packets over the upstream's span, Δ = 3 s) to
+    // link every upstream packet, so the decision gate lets its decodes
+    // through instead of clearing the pair undecoded.
+    let span = marked.last().unwrap().timestamp().as_micros();
+    let suspects: Vec<Flow> = (0..3)
+        .map(|i| {
+            Flow::from_timestamps(
+                (0..80).map(|k| Timestamp::from_micros(i * 1_000 + k * span / 60)),
+            )
+            .unwrap()
+        })
+        .collect();
     let mut live = Vec::new();
     for k in 0..80 {
         for (i, suspect) in suspects.iter().enumerate() {

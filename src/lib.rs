@@ -84,6 +84,7 @@ pub use stepstone_ingest as ingest;
 pub use stepstone_matching as matching;
 pub use stepstone_monitor as monitor;
 pub use stepstone_netsim as netsim;
+pub use stepstone_scenario as scenario;
 pub use stepstone_stats as stats;
 pub use stepstone_telemetry as telemetry;
 pub use stepstone_traffic as traffic;
